@@ -14,6 +14,7 @@
 #include "common/query.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "core/mvp_search.h"
 #include "core/search_shared.h"
 #include "metric/metric.h"
 #include "vptree/vp_select.h"
@@ -109,7 +110,7 @@ class MvpTree {
     SearchStats local;
     RangeSearchInto(query, radius, &result, &local);
     std::sort(result.begin(), result.end(), NeighborLess);
-    if (stats != nullptr) MergeStats(stats, local);
+    if (stats != nullptr) MergeSearchStats(stats, local);
     return result;
   }
 
@@ -123,15 +124,7 @@ class MvpTree {
   void RangeSearchInto(const Object& query, double radius,
                        std::vector<Neighbor>* out,
                        SearchStats* stats = nullptr) const {
-    MVP_DCHECK(radius >= 0);
-    MVP_DCHECK(out != nullptr);
-    SearchStats local;
-    SearchStats& sink = stats != nullptr ? *stats : local;
-    if (root_ != nullptr) {
-      std::vector<double> qpath;
-      qpath.reserve(static_cast<std::size_t>(options_.num_path_distances));
-      RangeSearchNode(*root_, query, radius, qpath, *out, sink);
-    }
+    MvpRangeSearch(NodeSource(), query, radius, metric_, out, stats);
   }
 
   /// The k nearest objects via shrinking-radius branch-and-bound; children
@@ -144,7 +137,7 @@ class MvpTree {
     SearchStats local;
     KnnSearchInto(query, k, &heap, &local);
     std::sort_heap(heap.begin(), heap.end(), NeighborLess);
-    if (stats != nullptr) MergeStats(stats, local);
+    if (stats != nullptr) MergeSearchStats(stats, local);
     return heap;
   }
 
@@ -157,14 +150,7 @@ class MvpTree {
   void KnnSearchInto(const Object& query, std::size_t k,
                      std::vector<Neighbor>* heap,
                      SearchStats* stats = nullptr) const {
-    MVP_DCHECK(heap != nullptr);
-    SearchStats local;
-    SearchStats& sink = stats != nullptr ? *stats : local;
-    if (root_ != nullptr && k > 0) {
-      std::vector<double> qpath;
-      qpath.reserve(static_cast<std::size_t>(options_.num_path_distances));
-      KnnSearchNode(*root_, query, k, qpath, *heap, sink);
-    }
+    MvpKnnSearch(NodeSource(), query, k, metric_, heap, stats);
   }
 
   /// Budgeted (approximate) k-NN: identical to KnnSearch but stops after
@@ -179,14 +165,17 @@ class MvpTree {
       SearchStats* stats = nullptr) const {
     std::vector<Neighbor> heap;
     SearchStats local;
-    if (root_ != nullptr && k > 0 && max_distance_computations > 0) {
-      std::vector<double> qpath;
-      qpath.reserve(static_cast<std::size_t>(options_.num_path_distances));
-      KnnSearchNodeBudgeted(*root_, query, k, qpath, heap, local,
-                            max_distance_computations);
+    if (max_distance_computations > 0) {
+      try {
+        MvpKnnSearch(NodeSource(), query, k,
+                     BudgetedMetric{metric_, max_distance_computations},
+                     &heap, &local);
+      } catch (const BudgetExhausted&) {
+        // Cut short: the heap holds the best k among the points evaluated.
+      }
     }
     std::sort_heap(heap.begin(), heap.end(), NeighborLess);
-    if (stats != nullptr) MergeStats(stats, local);
+    if (stats != nullptr) MergeSearchStats(stats, local);
     return heap;
   }
 
@@ -204,7 +193,7 @@ class MvpTree {
       FarthestRangeNode(*root_, query, radius, qpath, result, local);
     }
     std::sort(result.begin(), result.end(), FartherFirst);
-    if (stats != nullptr) MergeStats(stats, local);
+    if (stats != nullptr) MergeSearchStats(stats, local);
     return result;
   }
 
@@ -219,7 +208,7 @@ class MvpTree {
       FarthestKnnNode(*root_, query, k, qpath, heap, local);
     }
     std::sort(heap.begin(), heap.end(), FartherFirst);
-    if (stats != nullptr) MergeStats(stats, local);
+    if (stats != nullptr) MergeSearchStats(stats, local);
     return heap;
   }
 
@@ -562,208 +551,83 @@ class MvpTree {
 
   // ---------------------------------------------------------------- search
 
-  // Shell/annulus pruning and the k-NN candidate heap are shared with the
-  // flat mmap-native representation (core/search_shared.h) so both
-  // traversals provably apply identical arithmetic.
-  static bool Intersects(double d, double r, double lo, double hi) {
-    return ShellIntersects(d, r, lo, hi);
-  }
+  /// Node source for the shared §4.3 traversal (core/mvp_search.h): heap
+  /// nodes addressed by pointer, leaf entries as structs whose PATH slices
+  /// live in the tree's shared pool.
+  struct Nodes {
+    using NodeRef = const Node*;
+    static constexpr NodeRef kNone = nullptr;
 
-  /// §4.3 range search. `qpath` holds PATH[l] = d(Q, ancestor vantage
-  /// points), grown (up to p) while descending and restored on return.
-  void RangeSearchNode(const Node& node, const Object& query, double radius,
-                       std::vector<double>& qpath,
-                       std::vector<Neighbor>& result,
-                       SearchStats& stats) const {
-    ++stats.nodes_visited;
-    // Step 1: distances to the node's vantage points.
-    const double d1 = metric_(query, objects_[node.vp1_id]);
-    ++stats.distance_computations;
-    if (d1 <= radius) result.push_back(Neighbor{node.vp1_id, d1});
-    double d2 = 0.0;
-    if (node.has_vp2) {
-      d2 = metric_(query, objects_[node.vp2_id]);
-      ++stats.distance_computations;
-      if (d2 <= radius) result.push_back(Neighbor{node.vp2_id, d2});
-    }
+    struct Leaf {
+      const LeafEntry* entries;
+      std::size_t count;
+      bool vp2;
+      const double* pool;
 
-    if (node.is_leaf) {
-      FilterLeaf(node, query, radius, d1, d2, qpath, &result, nullptr, 0,
-                 stats);
-      return;
-    }
-
-    // Step 3.1: extend the query PATH for descendants' leaf filtering.
-    const std::size_t p =
-        static_cast<std::size_t>(options_.num_path_distances);
-    std::size_t pushed = 0;
-    if (qpath.size() < p) {
-      qpath.push_back(d1);
-      ++pushed;
-      if (qpath.size() < p) {
-        qpath.push_back(d2);
-        ++pushed;
+      std::size_t size() const { return count; }
+      std::size_t id(std::size_t i) const { return entries[i].id; }
+      bool has_vp2() const { return vp2; }
+      double d1(std::size_t i) const { return entries[i].d1; }
+      double d2(std::size_t i) const { return entries[i].d2; }
+      std::size_t path_checks(std::size_t i, std::size_t qpath_size) const {
+        MVP_DCHECK(qpath_size == entries[i].path_length);
+        return std::min<std::size_t>(qpath_size, entries[i].path_length);
       }
-    }
-
-    // Steps 3.2/3.3 generalized: enter child (g, s) iff the query annulus
-    // around BOTH vantage points intersects the child's shells.
-    const std::size_t m = static_cast<std::size_t>(options_.order);
-    for (std::size_t g = 0; g < m; ++g) {
-      if (!Intersects(d1, radius, node.lower1[g], node.upper1[g])) continue;
-      for (std::size_t s = 0; s < m; ++s) {
-        const std::size_t c = g * m + s;
-        if (node.children[c] == nullptr) continue;
-        if (!Intersects(d2, radius, node.lower2[c], node.upper2[c])) continue;
-        RangeSearchNode(*node.children[c], query, radius, qpath, result,
-                        stats);
+      double path(std::size_t i, std::size_t j) const {
+        return pool[entries[i].path_offset + j];
       }
-    }
-    qpath.resize(qpath.size() - pushed);
-  }
-
-  /// Step 2 of §4.3: leaf filtering through D1, D2 and PATH before any
-  /// distance computation. Exactly one of `range_out` (range mode, uses
-  /// `radius`) or `heap_out` (k-NN mode, uses shrinking radius) is non-null.
-  void FilterLeaf(const Node& node, const Object& query, double radius,
-                  double d1, double d2, const std::vector<double>& qpath,
-                  std::vector<Neighbor>* range_out,
-                  std::vector<Neighbor>* heap_out, std::size_t k,
-                  SearchStats& stats) const {
-    if (range_out != nullptr) {
-      // Range mode: the pruning radius is fixed, so the annulus tests for a
-      // whole chunk can run before any metric call. ChunkedRangeFilter
-      // (core/search_shared.h) fixes the interleaving of counter updates and
-      // metric evaluations; the flat views run the identical structure with
-      // SIMD mask sweeps over their SoA leaf arrays.
-      ChunkedRangeFilter(
-          node.bucket.size(),
-          [&](std::size_t base, std::size_t n) {
-            std::uint64_t mask = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-              const LeafEntry& x = node.bucket[base + i];
-              bool pass = std::abs(d1 - x.d1) <= radius &&
-                          (!node.has_vp2 || std::abs(d2 - x.d2) <= radius);
-              if (pass) {
-                const std::size_t checks = std::min(
-                    qpath.size(), static_cast<std::size_t>(x.path_length));
-                MVP_DCHECK(qpath.size() == x.path_length);
-                for (std::size_t j = 0; j < checks; ++j) {
-                  if (std::abs(qpath[j] - path_pool_[x.path_offset + j]) >
-                      radius) {
-                    pass = false;
-                    break;
-                  }
-                }
-              }
-              if (pass) mask |= std::uint64_t{1} << i;
-            }
-            return mask;
-          },
-          [&](std::size_t i) {
-            const LeafEntry& x = node.bucket[i];
-            const double d = metric_(query, objects_[x.id]);
-            ++stats.distance_computations;
-            if (d <= radius) range_out->push_back(Neighbor{x.id, d});
-          },
-          stats);
-      return;
-    }
-    // k-NN mode: tau shrinks with every offer, so the filter stays
-    // per-entry — a chunk-wide precomputed mask would use a stale radius.
-    for (const LeafEntry& x : node.bucket) {
-      ++stats.leaf_points_seen;
-      const double r = Tau(*heap_out, k);
-      bool pass = std::abs(d1 - x.d1) <= r &&
-                  (!node.has_vp2 || std::abs(d2 - x.d2) <= r);
-      if (pass) {
-        const std::size_t checks =
-            std::min(qpath.size(), static_cast<std::size_t>(x.path_length));
-        MVP_DCHECK(qpath.size() == x.path_length);
-        for (std::size_t j = 0; j < checks; ++j) {
-          if (std::abs(qpath[j] - path_pool_[x.path_offset + j]) > r) {
-            pass = false;
-            break;
-          }
-        }
-      }
-      if (!pass) {
-        ++stats.leaf_points_filtered;
-        continue;
-      }
-      const double d = metric_(query, objects_[x.id]);
-      ++stats.distance_computations;
-      Offer(*heap_out, k, Neighbor{x.id, d});
-    }
-  }
-
-  static double Tau(const std::vector<Neighbor>& heap, std::size_t k) {
-    return KnnTau(heap, k);
-  }
-
-  static void Offer(std::vector<Neighbor>& heap, std::size_t k, Neighbor n) {
-    KnnOffer(heap, k, n);
-  }
-
-  void KnnSearchNode(const Node& node, const Object& query, std::size_t k,
-                     std::vector<double>& qpath, std::vector<Neighbor>& heap,
-                     SearchStats& stats) const {
-    ++stats.nodes_visited;
-    const double d1 = metric_(query, objects_[node.vp1_id]);
-    ++stats.distance_computations;
-    Offer(heap, k, Neighbor{node.vp1_id, d1});
-    double d2 = 0.0;
-    if (node.has_vp2) {
-      d2 = metric_(query, objects_[node.vp2_id]);
-      ++stats.distance_computations;
-      Offer(heap, k, Neighbor{node.vp2_id, d2});
-    }
-
-    if (node.is_leaf) {
-      FilterLeaf(node, query, 0.0, d1, d2, qpath, nullptr, &heap, k, stats);
-      return;
-    }
-
-    const std::size_t p =
-        static_cast<std::size_t>(options_.num_path_distances);
-    std::size_t pushed = 0;
-    if (qpath.size() < p) {
-      qpath.push_back(d1);
-      ++pushed;
-      if (qpath.size() < p) {
-        qpath.push_back(d2);
-        ++pushed;
-      }
-    }
-
-    // Children in increasing order of their combined lower bound; stop as
-    // soon as the bound exceeds the current k-th best.
-    struct Ranked {
-      double bound;
-      std::size_t child;
     };
-    const std::size_t m = static_cast<std::size_t>(options_.order);
-    std::vector<Ranked> ranked;
-    ranked.reserve(m * m);
-    for (std::size_t g = 0; g < m; ++g) {
-      const double b1 =
-          std::max({0.0, node.lower1[g] - d1, d1 - node.upper1[g]});
-      for (std::size_t s = 0; s < m; ++s) {
-        const std::size_t c = g * m + s;
-        if (node.children[c] == nullptr) continue;
-        const double b2 =
-            std::max({0.0, node.lower2[c] - d2, d2 - node.upper2[c]});
-        ranked.push_back(Ranked{std::max(b1, b2), c});
-      }
+
+    NodeRef root_node;
+    std::size_t m;
+    std::size_t p;
+    const Object* objects;
+    const double* pool;
+
+    NodeRef root() const { return root_node; }
+    std::size_t order() const { return m; }
+    std::size_t num_path_distances() const { return p; }
+    bool is_leaf(NodeRef n) const { return n->is_leaf; }
+    bool has_vp2(NodeRef n) const { return n->has_vp2; }
+    std::size_t vp1(NodeRef n) const { return n->vp1_id; }
+    std::size_t vp2(NodeRef n) const { return n->vp2_id; }
+    ShellBounds bounds(NodeRef n) const {
+      return {n->lower1.data(), n->upper1.data(), n->lower2.data(),
+              n->upper2.data()};
     }
-    std::sort(ranked.begin(), ranked.end(),
-              [](const Ranked& a, const Ranked& b) { return a.bound < b.bound; });
-    for (const Ranked& r : ranked) {
-      if (r.bound > Tau(heap, k)) break;
-      KnnSearchNode(*node.children[r.child], query, k, qpath, heap, stats);
+    NodeRef child(NodeRef n, std::size_t c) const {
+      return n->children[c].get();
     }
-    qpath.resize(qpath.size() - pushed);
+    Leaf leaf(NodeRef n) const {
+      return {n->bucket.data(), n->bucket.size(), n->has_vp2, pool};
+    }
+    const Object& object(std::size_t id) const { return objects[id]; }
+  };
+
+  Nodes NodeSource() const {
+    return {root_.get(), static_cast<std::size_t>(options_.order),
+            static_cast<std::size_t>(options_.num_path_distances),
+            objects_.data(), path_pool_.data()};
   }
+
+  /// Thrown by BudgetedMetric to cut a KnnSearchApproximate short.
+  struct BudgetExhausted {};
+
+  /// Metric wrapper enforcing KnnSearchApproximate's budget: once `budget`
+  /// evaluations have run it throws BudgetExhausted before making the next
+  /// one, unwinding the traversal the way serve::CancelChecked unwinds a
+  /// cancelled search. One instance per search (the tally is not shared).
+  struct BudgetedMetric {
+    const Metric& inner;
+    std::uint64_t budget;
+    mutable std::uint64_t used = 0;
+
+    double operator()(const Object& a, const Object& b) const {
+      if (used >= budget) throw BudgetExhausted{};
+      ++used;
+      return inner(a, b);
+    }
+  };
 
   // --------------------------------------------------------- validation
 
@@ -1051,7 +915,7 @@ class MvpTree {
                        Neighbor n) {
     // Heap maximum under FartherFirst = the closest (least good) of the
     // kept k — the element evicted when something farther arrives. Mirrors
-    // Offer(), whose NeighborLess-heap keeps the farthest at the front.
+    // KnnOffer(), whose NeighborLess-heap keeps the farthest at the front.
     if (heap.size() < k) {
       heap.push_back(n);
       std::push_heap(heap.begin(), heap.end(), FartherFirst);
@@ -1125,95 +989,6 @@ class MvpTree {
     qpath.resize(qpath.size() - pushed);
   }
 
-  /// KnnSearchNode with a hard cap on distance computations. Returns false
-  /// once the budget is exhausted (unwinds the whole recursion).
-  bool KnnSearchNodeBudgeted(const Node& node, const Object& query,
-                             std::size_t k, std::vector<double>& qpath,
-                             std::vector<Neighbor>& heap, SearchStats& stats,
-                             std::uint64_t budget) const {
-    ++stats.nodes_visited;
-    if (stats.distance_computations >= budget) return false;
-    const double d1 = metric_(query, objects_[node.vp1_id]);
-    ++stats.distance_computations;
-    Offer(heap, k, Neighbor{node.vp1_id, d1});
-    double d2 = 0.0;
-    if (node.has_vp2) {
-      if (stats.distance_computations >= budget) return false;
-      d2 = metric_(query, objects_[node.vp2_id]);
-      ++stats.distance_computations;
-      Offer(heap, k, Neighbor{node.vp2_id, d2});
-    }
-
-    if (node.is_leaf) {
-      for (const LeafEntry& x : node.bucket) {
-        ++stats.leaf_points_seen;
-        const double r = Tau(heap, k);
-        bool pass = std::abs(d1 - x.d1) <= r &&
-                    (!node.has_vp2 || std::abs(d2 - x.d2) <= r);
-        if (pass) {
-          const std::size_t checks = std::min(
-              qpath.size(), static_cast<std::size_t>(x.path_length));
-          for (std::size_t j = 0; j < checks; ++j) {
-            if (std::abs(qpath[j] - path_pool_[x.path_offset + j]) > r) {
-              pass = false;
-              break;
-            }
-          }
-        }
-        if (!pass) {
-          ++stats.leaf_points_filtered;
-          continue;
-        }
-        if (stats.distance_computations >= budget) return false;
-        const double d = metric_(query, objects_[x.id]);
-        ++stats.distance_computations;
-        Offer(heap, k, Neighbor{x.id, d});
-      }
-      return true;
-    }
-
-    const std::size_t p =
-        static_cast<std::size_t>(options_.num_path_distances);
-    std::size_t pushed = 0;
-    if (qpath.size() < p) {
-      qpath.push_back(d1);
-      ++pushed;
-      if (qpath.size() < p) {
-        qpath.push_back(d2);
-        ++pushed;
-      }
-    }
-    struct Ranked {
-      double bound;
-      std::size_t child;
-    };
-    const std::size_t m = static_cast<std::size_t>(options_.order);
-    std::vector<Ranked> ranked;
-    ranked.reserve(m * m);
-    for (std::size_t g = 0; g < m; ++g) {
-      const double b1 =
-          std::max({0.0, node.lower1[g] - d1, d1 - node.upper1[g]});
-      for (std::size_t s = 0; s < m; ++s) {
-        const std::size_t c = g * m + s;
-        if (node.children[c] == nullptr) continue;
-        const double b2 =
-            std::max({0.0, node.lower2[c] - d2, d2 - node.upper2[c]});
-        ranked.push_back(Ranked{std::max(b1, b2), c});
-      }
-    }
-    std::sort(ranked.begin(), ranked.end(),
-              [](const Ranked& a, const Ranked& b) { return a.bound < b.bound; });
-    bool alive = true;
-    for (const Ranked& r : ranked) {
-      if (r.bound > Tau(heap, k)) break;
-      alive = KnnSearchNodeBudgeted(*node.children[r.child], query, k, qpath,
-                                    heap, stats, budget);
-      if (!alive) break;
-    }
-    qpath.resize(qpath.size() - pushed);
-    return alive;
-  }
-
   void CollectStats(const Node& node, std::size_t depth,
                     TreeStats& stats) const {
     stats.height = std::max(stats.height, depth);
@@ -1227,10 +1002,6 @@ class MvpTree {
     for (const auto& child : node.children) {
       if (child != nullptr) CollectStats(*child, depth + 1, stats);
     }
-  }
-
-  static void MergeStats(SearchStats* out, const SearchStats& in) {
-    MergeSearchStats(out, in);
   }
 
   std::vector<Object> objects_;

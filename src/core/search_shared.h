@@ -11,16 +11,13 @@
 #include "common/query.h"
 
 /// \file
-/// Search primitives shared by every representation of an mvp-tree.
+/// Search primitives shared by the mvp-tree indexes.
 ///
-/// The heap tree (core/mvp_tree.h) and the flat mmap-native view
-/// (snapshot/flat_tree.h) must return bit-identical results for the same
-/// logical tree — the equivalence suite asserts it query by query. The
-/// pruning and candidate-set arithmetic both traversals rely on therefore
-/// lives here, once: an annulus/shell intersection test, the k-NN
-/// shrinking-radius bookkeeping, and stats merging. Keeping these shared
-/// makes "the two representations agree" a structural property instead of
-/// a discipline.
+/// The pruning and candidate-set arithmetic of the §4.3 traversal
+/// (core/mvp_search.h, which serves both the heap tree and the flat
+/// mmap-native view) lives here: an annulus/shell intersection test, the
+/// k-NN shrinking-radius bookkeeping, the chunked range leaf filter, batch
+/// root priming, and stats merging.
 
 namespace mvp::core {
 
@@ -53,7 +50,7 @@ inline void KnnOffer(std::vector<Neighbor>& heap, std::size_t k, Neighbor n) {
 /// metric::kernels::AnnulusMask produces per sweep.
 inline constexpr std::size_t kLeafFilterChunk = 64;
 
-/// The range-search leaf filter, shared by every representation.
+/// The range-search leaf filter.
 ///
 /// Leaves are processed in kLeafFilterChunk-entry chunks, two phases per
 /// chunk: `mask_of(base, n)` computes an n-bit pass mask using only the
@@ -61,10 +58,10 @@ inline constexpr std::size_t kLeafFilterChunk = 64;
 /// this as branchless compare+mask sweeps), then the chunk's seen/filtered
 /// counters are charged, then `eval(i)` runs the real metric on each
 /// surviving entry in ascending order (each call is a cancellation point).
-/// The heap tree and both flat arena versions all funnel through this one
-/// structure, so the interleaving of counter updates and metric calls — and
-/// therefore SearchStats at any mid-leaf budget cancellation — is identical
-/// across representations by construction.
+/// Every representation's range leaves funnel through this one structure,
+/// so the interleaving of counter updates and metric calls — and therefore
+/// SearchStats at any mid-leaf budget cancellation — is identical across
+/// representations by construction.
 ///
 /// `mask_of` must leave bits >= n clear.
 template <typename MaskFn, typename EvalFn>

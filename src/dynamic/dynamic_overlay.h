@@ -413,6 +413,18 @@ class DynamicOverlay {
     MutexLock lock(&mu_);
     return base_.has_value() && base_->flat_serving();
   }
+  /// `size()` of a stored object (a vector's dimension), read off the base
+  /// or the live memtable; nullopt when there is none. Lets a server
+  /// holding objects of one shape refuse others.
+  std::optional<std::size_t> StoredObjectSize() const MVP_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    std::optional<std::size_t> size;
+    if (base_.has_value()) size = base_->ObjectSize();
+    memtable_.ForEachLive([&](std::size_t, const Object& object) {
+      if (!size.has_value()) size = object.size();
+    });
+    return size;
+  }
   Stats stats() const MVP_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return stats_;

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -60,6 +61,13 @@ serve::BatchQuery<Vector> ToBatchQuery(const WireQuery& wire,
                       : std::chrono::nanoseconds(timeout_ns);
   query.max_distance_computations = wire.max_distance_computations;
   return query;
+}
+
+WireOutcome ErrorOutcome(const Status& status) {
+  WireOutcome wire;
+  wire.status_code = static_cast<std::uint32_t>(status.code());
+  wire.status_message = status.message();
+  return wire;
 }
 
 WireOutcome ToWireOutcome(const serve::QueryOutcome& outcome) {
@@ -128,14 +136,47 @@ class Collection {
   }
 
  protected:
-  std::vector<serve::BatchQuery<Vector>> ToBatch(
-      const std::vector<WireQuery>& queries) const {
+  /// Dimension of a collection that stores no vector yet: every query
+  /// matches, since none can reach a metric call.
+  static constexpr std::size_t kAnyDim = ~std::size_t{0};
+
+  Status WrongDim(std::size_t got, std::size_t dim) const {
+    return Status::InvalidArgument(
+        "vector has " + std::to_string(got) + " coordinates; collection '" +
+        options_.name + "' stores " + std::to_string(dim));
+  }
+
+  /// Runs the queries whose vectors have `dim` coordinates on `index`
+  /// through serve::RunBatch (this tenant's admission and stats) and
+  /// answers every other one with InvalidArgument without touching the
+  /// index: the metric reads the query's coordinates against a stored
+  /// vector's, so a wire vector of another length would read past one.
+  template <typename Index>
+  std::vector<WireOutcome> RunChecked(const Index& index,
+                                      const std::vector<WireQuery>& queries,
+                                      std::size_t dim,
+                                      serve::ThreadPool* pool) {
+    std::vector<WireOutcome> wire(queries.size());
     std::vector<serve::BatchQuery<Vector>> batch;
+    std::vector<std::size_t> slots;
     batch.reserve(queries.size());
-    for (const WireQuery& q : queries) {
-      batch.push_back(ToBatchQuery(q, options_.max_timeout_ns));
+    slots.reserve(queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const std::size_t got = queries[i].point.size();
+      if (dim != kAnyDim && got != dim) {
+        wire[i] = ErrorOutcome(WrongDim(got, dim));
+        continue;
+      }
+      batch.push_back(ToBatchQuery(queries[i], options_.max_timeout_ns));
+      slots.push_back(i);
     }
-    return batch;
+    serve::ExecutorOptions executor;
+    executor.admission = &admission_;
+    const auto outcomes = serve::RunBatch(index, batch, pool, &stats_, executor);
+    for (std::size_t j = 0; j < slots.size(); ++j) {
+      wire[slots[j]] = ToWireOutcome(outcomes[j]);
+    }
+    return wire;
   }
 
   Status NotDynamic() const {
@@ -197,6 +238,7 @@ class StaticCollection final : public Collection {
             "': committed generation is not a full sharded snapshot (serve "
             "delta lineages through a dynamic collection)");
     }
+    generation->dim = generation->index.ObjectSize().value_or(kAnyDim);
     cell_.Publish(std::move(generation));
     return Status::OK();
   }
@@ -205,25 +247,17 @@ class StaticCollection final : public Collection {
                                serve::ThreadPool* pool) override {
     std::shared_ptr<const Generation> generation = cell_.Get();
     if (generation == nullptr) {
-      WireOutcome missing;
-      const Status status = Status::NotFound(
-          "collection '" + options_.name + "' has no generation loaded");
-      missing.status_code = static_cast<std::uint32_t>(status.code());
-      missing.status_message = status.message();
-      return std::vector<WireOutcome>(queries.size(), missing);
+      return std::vector<WireOutcome>(
+          queries.size(),
+          ErrorOutcome(Status::NotFound("collection '" + options_.name +
+                                        "' has no generation loaded")));
     }
-    serve::ExecutorOptions executor;
-    executor.admission = &admission_;
-    auto outcomes = serve::RunBatch(generation->index, ToBatch(queries), pool,
-                                    &stats_, executor);
-    std::vector<WireOutcome> wire;
-    wire.reserve(outcomes.size());
-    for (const serve::QueryOutcome& outcome : outcomes) {
-      wire.push_back(ToWireOutcome(outcome));
-      if (!generation->stable_ids.empty()) {
-        // A compacted generation's dense ids are internal; clients address
-        // objects by stable id, like the overlay that wrote it would.
-        for (Neighbor& n : wire.back().neighbors) {
+    auto wire = RunChecked(generation->index, queries, generation->dim, pool);
+    if (!generation->stable_ids.empty()) {
+      // A compacted generation's dense ids are internal; clients address
+      // objects by stable id, like the overlay that wrote it would.
+      for (WireOutcome& outcome : wire) {
+        for (Neighbor& n : outcome.neighbors) {
           n.id = static_cast<std::size_t>(generation->stable_ids[n.id]);
         }
       }
@@ -250,6 +284,7 @@ class StaticCollection final : public Collection {
     serve::ShardedMvpIndex<Vector, Metric> index;
     std::vector<std::uint64_t> stable_ids;  ///< empty = identity
     std::uint64_t generation = 0;
+    std::size_t dim = kAnyDim;  ///< coordinates of every stored vector
   };
 
   snapshot::SnapshotStore store_;
@@ -285,16 +320,12 @@ class DynamicCollection final : public Collection {
   std::vector<WireOutcome> Run(const std::vector<WireQuery>& queries,
                                serve::ThreadPool* pool) override {
     auto live = overlay();
-    serve::ExecutorOptions executor;
-    executor.admission = &admission_;
-    auto outcomes =
-        serve::RunBatch(*live, ToBatch(queries), pool, &stats_, executor);
-    std::vector<WireOutcome> wire;
-    wire.reserve(outcomes.size());
-    for (const serve::QueryOutcome& outcome : outcomes) {
-      wire.push_back(ToWireOutcome(outcome));
-    }
-    return wire;
+    const std::size_t dim = dim_.load(std::memory_order_acquire);
+    if (dim != kAnyDim) return RunChecked(*live, queries, dim, pool);
+    // Nothing stored when last looked: hold shape_mu_ so no first vector
+    // (insert or replicated) lands mid-batch with another dimension.
+    MutexLock lock(&shape_mu_);
+    return RunChecked(*live, queries, LearnDimLocked(*live), pool);
   }
 
   WireCollectionInfo Info() const override {
@@ -308,8 +339,23 @@ class DynamicCollection final : public Collection {
     return info;
   }
 
+  /// Refuses a vector whose dimension differs from the stored ones before
+  /// anything reaches the WAL; the first vector fixes the dimension.
   Result<std::uint64_t> Insert(const Vector& point) override {
-    auto id = overlay()->Insert(point);
+    auto live = overlay();
+    std::size_t dim = dim_.load(std::memory_order_acquire);
+    if (dim == kAnyDim) {
+      MutexLock lock(&shape_mu_);
+      dim = LearnDimLocked(*live);
+      if (dim == kAnyDim) {
+        auto id = live->Insert(point);
+        if (!id.ok()) return id.status();
+        dim_.store(point.size(), std::memory_order_release);
+        return static_cast<std::uint64_t>(id.value());
+      }
+    }
+    if (point.size() != dim) return WrongDim(point.size(), dim);
+    auto id = live->Insert(point);
     if (!id.ok()) return id.status();
     return static_cast<std::uint64_t>(id.value());
   }
@@ -359,7 +405,11 @@ class DynamicCollection final : public Collection {
   }
 
   Status ApplySegment(const WireWalSegment& segment) override {
-    return overlay()->ApplyReplicated(segment.records);
+    auto live = overlay();
+    MutexLock lock(&shape_mu_);
+    const Status status = live->ApplyReplicated(segment.records);
+    LearnDimLocked(*live);
+    return status;
   }
 
   std::uint64_t AppliedSeq() const override {
@@ -372,8 +422,24 @@ class DynamicCollection final : public Collection {
     return overlay_;
   }
 
+  /// dim_, read off `live`'s stored vectors the first time it has any.
+  std::size_t LearnDimLocked(const Overlay& live) MVP_REQUIRES(shape_mu_) {
+    std::size_t dim = dim_.load(std::memory_order_acquire);
+    if (dim == kAnyDim) {
+      dim = live.StoredObjectSize().value_or(kAnyDim);
+      dim_.store(dim, std::memory_order_release);
+    }
+    return dim;
+  }
+
   mutable Mutex overlay_mu_;
   std::shared_ptr<Overlay> overlay_ MVP_GUARDED_BY(overlay_mu_);
+  /// Serializes the collection's first stored vector with the queries and
+  /// inserts that could otherwise race it while dim_ is still kAnyDim.
+  Mutex shape_mu_;
+  /// Coordinates of every stored vector; kAnyDim until one is stored, then
+  /// fixed (changed only under shape_mu_, from kAnyDim).
+  std::atomic<std::size_t> dim_{kAnyDim};
 };
 
 Result<std::unique_ptr<Collection>> MakeCollection(

@@ -330,6 +330,19 @@ class ShardedMvpIndex {
     return !shards_.empty() && shards_[0]->flat.has_value();
   }
 
+  /// `size()` of a stored object (a vector's dimension: Build and flat
+  /// arenas store one throughout), or nullopt for an empty index.
+  std::optional<std::size_t> ObjectSize() const {
+    for (const auto& shard : shards_) {
+      if (shard->flat.has_value()) {
+        if (shard->flat->size() > 0) return shard->flat->dim();
+      } else if (shard->tree->size() > 0) {
+        return shard->tree->object(0).size();
+      }
+    }
+    return std::nullopt;
+  }
+
   /// Heap representation only.
   const Tree& shard(std::size_t s) const {
     MVP_DCHECK(s < shards_.size() && shards_[s]->tree.has_value());

@@ -183,6 +183,58 @@ Status BuildSoaSections(const ArenaBuilder& b, SoaSections* soa) {
   return Status::OK();
 }
 
+/// Lays out the v2 arena: the same sections with the leaf entries split
+/// into structure-of-arrays columns and per-leaf PATH slabs. `h` carries
+/// the tree-wide fields; every offset and count is computed here.
+Result<std::vector<std::uint8_t>> AssembleV2(const ArenaBuilder& b,
+                                             FlatHeaderRec h) {
+  SoaSections soa;
+  MVP_RETURN_NOT_OK(BuildSoaSections(b, &soa));
+
+  // Every section offset stays 8-aligned (the u32 ids section can end off
+  // an 8-byte boundary, hence the explicit Align8 between sections).
+  h.version = kFlatVersionV2;
+  FlatHeaderExtRec ext;
+  std::uint64_t offset = kFlatHeaderBytesV2;
+  h.objects_offset = offset;
+  offset = Align8(offset + b.objects.size() * sizeof(double));
+  h.path_offset = offset;
+  h.path_count = soa.slab.size();
+  offset = Align8(offset + soa.slab.size() * sizeof(double));
+  h.bounds_offset = offset;
+  h.bounds_count = b.bounds.size();
+  offset = Align8(offset + b.bounds.size() * sizeof(double));
+  h.entries_offset = offset;  // ids section in v2
+  h.entry_count = soa.ids.size();
+  offset = Align8(offset + soa.ids.size() * sizeof(std::uint32_t));
+  ext.d1_offset = offset;
+  offset = Align8(offset + soa.d1.size() * sizeof(double));
+  ext.d2_offset = offset;
+  offset = Align8(offset + soa.d2.size() * sizeof(double));
+  ext.leafpaths_offset = offset;
+  offset = Align8(offset + soa.leafpaths.size() * sizeof(FlatLeafPathRec));
+  h.nodes_offset = offset;
+  offset = Align8(offset + b.nodes.size() * sizeof(FlatNodeRec));
+  h.children_offset = offset;
+  h.children_count = b.children.size();
+  offset = Align8(offset + b.children.size() * sizeof(std::uint32_t));
+  h.arena_bytes = offset;
+
+  std::vector<std::uint8_t> arena(static_cast<std::size_t>(offset), 0);
+  std::memcpy(arena.data(), &h, sizeof(h));
+  std::memcpy(arena.data() + sizeof(h), &ext, sizeof(ext));
+  CopySection(&arena, h.objects_offset, b.objects);
+  CopySection(&arena, h.path_offset, soa.slab);
+  CopySection(&arena, h.bounds_offset, b.bounds);
+  CopySection(&arena, h.entries_offset, soa.ids);
+  CopySection(&arena, ext.d1_offset, soa.d1);
+  CopySection(&arena, ext.d2_offset, soa.d2);
+  CopySection(&arena, ext.leafpaths_offset, soa.leafpaths);
+  CopySection(&arena, h.nodes_offset, b.nodes);
+  CopySection(&arena, h.children_offset, b.children);
+  return arena;
+}
+
 }  // namespace
 
 Result<std::vector<std::uint8_t>> BuildFlatArena(const std::uint8_t* stream,
@@ -297,51 +349,22 @@ Result<std::vector<std::uint8_t>> BuildFlatArena(const std::uint8_t* stream,
     CopySection(&arena, h.children_offset, b.children);
     return arena;
   }
+  return AssembleV2(b, h);
+}
 
-  SoaSections soa;
-  MVP_RETURN_NOT_OK(BuildSoaSections(b, &soa));
-
-  // v2 layout: every section offset stays 8-aligned (the u32 ids section can
-  // end off an 8-byte boundary, hence the explicit Align8 between sections).
-  FlatHeaderExtRec ext;
-  std::uint64_t offset = kFlatHeaderBytesV2;
-  h.objects_offset = offset;
-  offset = Align8(offset + b.objects.size() * sizeof(double));
-  h.path_offset = offset;
-  h.path_count = soa.slab.size();
-  offset = Align8(offset + soa.slab.size() * sizeof(double));
-  h.bounds_offset = offset;
-  h.bounds_count = b.bounds.size();
-  offset = Align8(offset + b.bounds.size() * sizeof(double));
-  h.entries_offset = offset;  // ids section in v2
-  h.entry_count = soa.ids.size();
-  offset = Align8(offset + soa.ids.size() * sizeof(std::uint32_t));
-  ext.d1_offset = offset;
-  offset = Align8(offset + soa.d1.size() * sizeof(double));
-  ext.d2_offset = offset;
-  offset = Align8(offset + soa.d2.size() * sizeof(double));
-  ext.leafpaths_offset = offset;
-  offset = Align8(offset + soa.leafpaths.size() * sizeof(FlatLeafPathRec));
-  h.nodes_offset = offset;
-  offset = Align8(offset + b.nodes.size() * sizeof(FlatNodeRec));
-  h.children_offset = offset;
-  h.children_count = b.children.size();
-  offset = Align8(offset + b.children.size() * sizeof(std::uint32_t));
-  h.arena_bytes = offset;
-
-  std::vector<std::uint8_t> arena(static_cast<std::size_t>(offset), 0);
-  std::memcpy(arena.data(), &h, sizeof(h));
-  std::memcpy(arena.data() + sizeof(h), &ext, sizeof(ext));
-  CopySection(&arena, h.objects_offset, b.objects);
-  CopySection(&arena, h.path_offset, soa.slab);
-  CopySection(&arena, h.bounds_offset, b.bounds);
-  CopySection(&arena, h.entries_offset, soa.ids);
-  CopySection(&arena, ext.d1_offset, soa.d1);
-  CopySection(&arena, ext.d2_offset, soa.d2);
-  CopySection(&arena, ext.leafpaths_offset, soa.leafpaths);
-  CopySection(&arena, h.nodes_offset, b.nodes);
-  CopySection(&arena, h.children_offset, b.children);
-  return arena;
+Result<std::vector<std::uint8_t>> UpgradeFlatArenaV1(
+    const FlatArenaParts& v1) {
+  const FlatHeaderRec& src = v1.header;
+  ArenaBuilder b;
+  b.object_count = static_cast<std::size_t>(src.object_count);
+  b.dim = src.dim;
+  b.objects.assign(v1.objects, v1.objects + src.object_count * src.dim);
+  b.path.assign(v1.path, v1.path + src.path_count);
+  b.bounds.assign(v1.bounds, v1.bounds + src.bounds_count);
+  b.entries.assign(v1.entries, v1.entries + src.entry_count);
+  b.nodes.assign(v1.nodes, v1.nodes + src.node_count);
+  b.children.assign(v1.children, v1.children + src.children_count);
+  return AssembleV2(b, src);  // recomputes every section offset/count
 }
 
 namespace {
@@ -453,7 +476,6 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
 
   FlatArenaParts parts;
   parts.header = h;
-  parts.ext = ext;
   parts.objects = reinterpret_cast<const double*>(data + h.objects_offset);
   parts.path = reinterpret_cast<const double*>(data + h.path_offset);
   parts.bounds = reinterpret_cast<const double*>(data + h.bounds_offset);

@@ -2,16 +2,16 @@
 #define MVPTREE_SNAPSHOT_FLAT_TREE_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/macros.h"
 #include "common/query.h"
 #include "common/status.h"
+#include "core/mvp_search.h"
 #include "core/search_shared.h"
 #include "metric/kernels/kernels.h"
 
@@ -30,7 +30,8 @@
 /// in-memory records are naturally aligned under both mmap and the heap
 /// fallback).
 ///
-/// Version 1 (still read; writers emit v2):
+/// Version 1 (still read, upgraded to v2 in memory at open; writers emit
+/// v2):
 ///
 ///   FlatHeaderRec          fixed 144 bytes
 ///   objects   f64[object_count * dim]   vectors, row-major, viewed in place
@@ -75,8 +76,8 @@
 /// strictly forward (preorder), that every node is referenced exactly once,
 /// and that depth stays within the same cap as heap deserialization — so a
 /// corrupted arena yields Status::Corruption at open, never a crash or an
-/// unterminated traversal. The searches mirror core::MvpTree statement for
-/// statement (sharing core/search_shared.h) so results and
+/// unterminated traversal. Searches run the one traversal core::MvpTree
+/// runs (core/mvp_search.h) over this layout's node source, so results and
 /// distance-computation counts are bit-identical to the heap tree built
 /// from the same stream.
 
@@ -210,7 +211,6 @@ Result<std::vector<std::uint8_t>> BuildFlatArena(const std::uint8_t* stream,
 /// pointers alias the caller's bytes, which must outlive the view.
 struct FlatArenaParts {
   FlatHeaderRec header;
-  FlatHeaderExtRec ext;  ///< zeroed for v1 arenas
   const double* objects = nullptr;
   const double* path = nullptr;
   const double* bounds = nullptr;
@@ -230,27 +230,46 @@ struct FlatArenaParts {
 Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
                                       std::size_t size);
 
+/// Upgrades a validated v1 arena (array-of-structs leaves) to the current
+/// v2 layout with the same assembly BuildFlatArena uses, so a legacy
+/// snapshot serves through the one v2 search path. Corruption when a leaf
+/// mixes PATH lengths (no writer emits that; the v2 slab layout cannot
+/// represent it).
+Result<std::vector<std::uint8_t>> UpgradeFlatArenaV1(
+    const FlatArenaParts& v1);
+
 /// Read-only mvp-tree over a validated flat arena. Query objects are dense
 /// real vectors; `Metric` must accept (query, VectorView) — all bundled Lp
 /// metrics (and serve::CancelChecked wrappers of them) do.
 ///
-/// Search results, their order of discovery, and every SearchStats counter
-/// are bit-identical to core::MvpTree over the same logical tree: both
-/// traversals evaluate the same metric calls in the same sequence
+/// Searches run core/mvp_search.h, the traversal core::MvpTree runs too,
+/// so results, their order of discovery, and every SearchStats counter are
+/// bit-identical to the heap tree over the same logical tree
 /// (tests/flat_equivalence_test.cc holds this to 1k+ random queries).
 /// Thread safety: immutable after Open; const searches are freely
 /// concurrent (same contract as MvpTree).
 template <typename Metric>
 class FlatTreeView {
  public:
-  /// Validates `data` and binds the view. The bytes must stay alive and
-  /// unmodified for the view's lifetime (the snapshot path guarantees this
-  /// by keeping the MmapFile alive alongside the index).
+  /// Validates `data` and binds the view. A v2 arena is searched in place:
+  /// the bytes must stay alive and unmodified for the view's lifetime (the
+  /// snapshot path guarantees this by keeping the MmapFile alive alongside
+  /// the index). A v1 arena is upgraded to v2 into a copy the view owns
+  /// (UpgradeFlatArenaV1), so its source bytes may be freed after Open.
   static Result<FlatTreeView> Open(const std::uint8_t* data, std::size_t size,
                                    Metric metric) {
     auto parts = ParseFlatArena(data, size);
     if (!parts.ok()) return parts.status();
-    return FlatTreeView(std::move(parts).ValueOrDie(), std::move(metric));
+    if (parts.value().header.version == kFlatVersionV2) {
+      return FlatTreeView(parts.value(), std::move(metric), nullptr);
+    }
+    auto upgraded = UpgradeFlatArenaV1(parts.value());
+    if (!upgraded.ok()) return upgraded.status();
+    auto owned = std::make_shared<const std::vector<std::uint8_t>>(
+        std::move(upgraded).ValueOrDie());
+    auto v2 = ParseFlatArena(owned->data(), owned->size());
+    if (!v2.ok()) return v2.status();
+    return FlatTreeView(v2.value(), std::move(metric), std::move(owned));
   }
 
   std::size_t size() const {
@@ -267,11 +286,11 @@ class FlatTreeView {
     return (p_.header.flags & kHeaderExactBounds) != 0;
   }
   std::size_t dim() const { return p_.header.dim; }
-  std::size_t node_count() const {
-    return static_cast<std::size_t>(p_.header.node_count);
+  /// Format version of the arena handed to Open (1 for an upgraded legacy
+  /// arena, which is searched as v2).
+  std::uint32_t version() const {
+    return owned_ != nullptr ? kFlatVersionV1 : kFlatVersionV2;
   }
-  std::uint32_t version() const { return p_.header.version; }
-  const Metric& metric() const { return metric_; }
 
   /// Root vantage-point vectors, for batch priming (core::RootPrime):
   /// returns false on an empty tree; *vp2 is null when the root has a single
@@ -280,9 +299,9 @@ class FlatTreeView {
     if (p_.header.root == kNoNode) return false;
     const FlatNodeRec& root = p_.nodes[p_.header.root];
     *vp1 = p_.objects + root.vp1 * static_cast<std::size_t>(p_.header.dim);
-    *vp2 = HasVp2(root) ? p_.objects +
-                              root.vp2 * static_cast<std::size_t>(p_.header.dim)
-                        : nullptr;
+    *vp2 = (root.flags & kNodeHasVp2) != 0
+               ? p_.objects + root.vp2 * static_cast<std::size_t>(p_.header.dim)
+               : nullptr;
     return true;
   }
 
@@ -313,16 +332,8 @@ class FlatTreeView {
                        std::vector<Neighbor>* out,
                        SearchStats* stats = nullptr,
                        const core::RootPrime* root_prime = nullptr) const {
-    MVP_DCHECK(radius >= 0);
-    MVP_DCHECK(out != nullptr);
-    SearchStats local;
-    SearchStats& sink = stats != nullptr ? *stats : local;
-    if (p_.header.root != kNoNode) {
-      std::vector<double> qpath;
-      qpath.reserve(p_.header.num_path_distances);
-      RangeSearchNode(p_.header.root, query, radius, qpath, *out, sink,
-                      root_prime);
-    }
+    core::MvpRangeSearch(Nodes{p_}, query, radius, metric_, out, stats,
+                         root_prime);
   }
 
   /// Mirrors MvpTree::KnnSearch (sorted by distance then id).
@@ -344,318 +355,99 @@ class FlatTreeView {
                      std::vector<Neighbor>* heap,
                      SearchStats* stats = nullptr,
                      const core::RootPrime* root_prime = nullptr) const {
-    MVP_DCHECK(heap != nullptr);
-    SearchStats local;
-    SearchStats& sink = stats != nullptr ? *stats : local;
-    if (p_.header.root != kNoNode && k > 0) {
-      std::vector<double> qpath;
-      qpath.reserve(p_.header.num_path_distances);
-      KnnSearchNode(p_.header.root, query, k, qpath, *heap, sink, root_prime);
-    }
+    core::MvpKnnSearch(Nodes{p_}, query, k, metric_, heap, stats, root_prime);
   }
 
  private:
-  FlatTreeView(FlatArenaParts parts, Metric metric)
-      : p_(parts), metric_(std::move(metric)) {}
+  /// Node source for the shared traversal (core/mvp_search.h): nodes are
+  /// arena indices, leaves the v2 structure-of-arrays columns.
+  struct Nodes {
+    using NodeRef = std::uint64_t;
+    static constexpr NodeRef kNone = kNoNode;
 
-  bool IsLeaf(const FlatNodeRec& n) const { return (n.flags & kNodeLeaf) != 0; }
-  bool HasVp2(const FlatNodeRec& n) const {
-    return (n.flags & kNodeHasVp2) != 0;
-  }
+    /// One leaf's ids/D1/D2 column runs and its column-major PATH slab.
+    struct Leaf {
+      const std::uint32_t* ids;
+      const double* d1s;
+      const double* d2s;
+      const double* slab;
+      std::size_t count;
+      std::size_t path_length;
+      bool vp2;
 
-  // The traversals below are line-for-line transcriptions of
-  // MvpTree::RangeSearchNode / KnnSearchNode / FilterLeaf with pointer
-  // dereferences replaced by arena index arithmetic. Keep them in lockstep
-  // with core/mvp_tree.h: any divergence is a bug the equivalence suite
-  // is designed to catch.
-
-  template <typename Query>
-  void RangeSearchNode(std::uint64_t ni, const Query& query, double radius,
-                       std::vector<double>& qpath,
-                       std::vector<Neighbor>& result, SearchStats& stats,
-                       const core::RootPrime* prime = nullptr) const {
-    const FlatNodeRec& node = p_.nodes[ni];
-    ++stats.nodes_visited;
-    // A primed distance replaces the metric call with its precomputed
-    // (bit-identical) value but is still charged to the stats and the
-    // cancellation budget, so batched and unbatched searches agree exactly.
-    double d1;
-    if (prime != nullptr && prime->has_d1) {
-      core::ConsumePrimedDistance(metric_);
-      d1 = prime->d1;
-    } else {
-      d1 = metric_(query, object(node.vp1));
-    }
-    ++stats.distance_computations;
-    if (d1 <= radius) result.push_back(Neighbor{node.vp1, d1});
-    double d2 = 0.0;
-    if (HasVp2(node)) {
-      if (prime != nullptr && prime->has_d2) {
-        core::ConsumePrimedDistance(metric_);
-        d2 = prime->d2;
-      } else {
-        d2 = metric_(query, object(node.vp2));
+      std::size_t size() const { return count; }
+      std::size_t id(std::size_t i) const { return ids[i]; }
+      bool has_vp2() const { return vp2; }
+      double d1(std::size_t i) const { return d1s[i]; }
+      double d2(std::size_t i) const { return d2s[i]; }
+      std::size_t path_checks(std::size_t, std::size_t qpath_size) const {
+        return std::min(qpath_size, path_length);
       }
-      ++stats.distance_computations;
-      if (d2 <= radius) result.push_back(Neighbor{node.vp2, d2});
-    }
-
-    if (IsLeaf(node)) {
-      FilterLeaf(node, query, radius, d1, d2, qpath, &result, nullptr, 0,
-                 stats);
-      return;
-    }
-
-    const std::size_t p = p_.header.num_path_distances;
-    std::size_t pushed = 0;
-    if (qpath.size() < p) {
-      qpath.push_back(d1);
-      ++pushed;
-      if (qpath.size() < p) {
-        qpath.push_back(d2);
-        ++pushed;
+      double path(std::size_t i, std::size_t j) const {
+        return slab[j * count + i];
       }
-    }
 
-    const std::size_t m = p_.header.order;
-    const double* lower1 = p_.bounds + node.begin;
-    const double* upper1 = lower1 + m;
-    const double* lower2 = upper1 + m;
-    const double* upper2 = lower2 + m * m;
-    const std::uint32_t* kids = p_.children + node.children;
-    for (std::size_t g = 0; g < m; ++g) {
-      if (!core::ShellIntersects(d1, radius, lower1[g], upper1[g])) continue;
-      for (std::size_t s = 0; s < m; ++s) {
-        const std::size_t c = g * m + s;
-        if (kids[c] == kNullChild) continue;
-        if (!core::ShellIntersects(d2, radius, lower2[c], upper2[c])) continue;
-        RangeSearchNode(kids[c], query, radius, qpath, result, stats);
-      }
-    }
-    qpath.resize(qpath.size() - pushed);
-  }
-
-  template <typename Query>
-  void FilterLeaf(const FlatNodeRec& node, const Query& query, double radius,
-                  double d1, double d2, const std::vector<double>& qpath,
-                  std::vector<Neighbor>* range_out,
-                  std::vector<Neighbor>* heap_out, std::size_t k,
-                  SearchStats& stats) const {
-    if (p_.header.version >= kFlatVersionV2) {
-      FilterLeafV2(node, query, radius, d1, d2, qpath, range_out, heap_out, k,
-                   stats);
-      return;
-    }
-    const FlatLeafEntryRec* bucket = p_.entries + node.begin;
-    const bool has_vp2 = HasVp2(node);
-    if (range_out != nullptr) {
-      // Same chunked two-phase structure as the heap tree (see
-      // core::ChunkedRangeFilter); the per-entry tests run scalar over the
-      // v1 AoS records.
-      core::ChunkedRangeFilter(
-          node.count,
-          [&](std::size_t base, std::size_t n) {
-            std::uint64_t mask = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-              const FlatLeafEntryRec& x = bucket[base + i];
-              bool pass = std::abs(d1 - x.d1) <= radius &&
-                          (!has_vp2 || std::abs(d2 - x.d2) <= radius);
-              if (pass) {
-                const std::size_t checks = std::min(
-                    qpath.size(), static_cast<std::size_t>(x.path_length));
-                for (std::size_t j = 0; j < checks; ++j) {
-                  if (std::abs(qpath[j] - p_.path[x.path_offset + j]) >
-                      radius) {
-                    pass = false;
-                    break;
-                  }
-                }
-              }
-              if (pass) mask |= std::uint64_t{1} << i;
-            }
-            return mask;
-          },
-          [&](std::size_t i) {
-            const FlatLeafEntryRec& x = bucket[i];
-            const double d = metric_(query, object(x.id));
-            ++stats.distance_computations;
-            if (d <= radius) range_out->push_back(Neighbor{x.id, d});
-          },
-          stats);
-      return;
-    }
-    for (std::uint32_t i = 0; i < node.count; ++i) {
-      const FlatLeafEntryRec& x = bucket[i];
-      ++stats.leaf_points_seen;
-      const double r = core::KnnTau(*heap_out, k);
-      bool pass = std::abs(d1 - x.d1) <= r &&
-                  (!has_vp2 || std::abs(d2 - x.d2) <= r);
-      if (pass) {
-        const std::size_t checks =
-            std::min(qpath.size(), static_cast<std::size_t>(x.path_length));
-        for (std::size_t j = 0; j < checks; ++j) {
-          if (std::abs(qpath[j] - p_.path[x.path_offset + j]) > r) {
-            pass = false;
-            break;
-          }
+      /// Range-mode pass bits for entries [base, base+n): branchless
+      /// compare+mask sweeps (metric::kernels::AnnulusMask) over the
+      /// contiguous columns, bit-identical to core::LeafEntryPasses.
+      std::uint64_t RangeMask(std::size_t base, std::size_t n, double q1,
+                              double q2, const std::vector<double>& qpath,
+                              double radius) const {
+        using metric::kernels::AnnulusMask;
+        std::uint64_t mask = AnnulusMask(q1, d1s + base, n, radius);
+        if (vp2 && mask != 0) mask &= AnnulusMask(q2, d2s + base, n, radius);
+        const std::size_t checks = std::min(qpath.size(), path_length);
+        for (std::size_t j = 0; j < checks && mask != 0; ++j) {
+          mask &= AnnulusMask(qpath[j], slab + j * count + base, n, radius);
         }
+        return mask;
       }
-      if (!pass) {
-        ++stats.leaf_points_filtered;
-        continue;
-      }
-      const double d = metric_(query, object(x.id));
-      ++stats.distance_computations;
-      core::KnnOffer(*heap_out, k, Neighbor{x.id, d});
-    }
-  }
-
-  /// v2 structure-of-arrays leaf filter. Range mode sweeps the contiguous
-  /// D1/D2 columns and the column-major PATH slab with the branchless
-  /// compare+mask kernel (metric::kernels::AnnulusMask), 64 entries per
-  /// chunk; the pass bits are identical to the scalar per-entry tests, so
-  /// results and SearchStats match the heap tree and the v1 view exactly.
-  template <typename Query>
-  void FilterLeafV2(const FlatNodeRec& node, const Query& query, double radius,
-                    double d1, double d2, const std::vector<double>& qpath,
-                    std::vector<Neighbor>* range_out,
-                    std::vector<Neighbor>* heap_out, std::size_t k,
-                    SearchStats& stats) const {
-    const std::uint64_t ni =
-        static_cast<std::uint64_t>(&node - p_.nodes);
-    const std::uint32_t* ids = p_.ids + node.begin;
-    const double* d1s = p_.d1 + node.begin;
-    const double* d2s = p_.d2 + node.begin;
-    const FlatLeafPathRec& lp = p_.leafpaths[ni];
-    const double* slab = p_.path + lp.slab_offset;
-    const std::size_t count = node.count;
-    const std::size_t checks =
-        std::min(qpath.size(), static_cast<std::size_t>(lp.path_length));
-    const bool has_vp2 = HasVp2(node);
-    if (range_out != nullptr) {
-      core::ChunkedRangeFilter(
-          count,
-          [&](std::size_t base, std::size_t n) {
-            std::uint64_t mask =
-                metric::kernels::AnnulusMask(d1, d1s + base, n, radius);
-            if (has_vp2 && mask != 0) {
-              mask &= metric::kernels::AnnulusMask(d2, d2s + base, n, radius);
-            }
-            for (std::size_t j = 0; j < checks && mask != 0; ++j) {
-              mask &= metric::kernels::AnnulusMask(
-                  qpath[j], slab + j * count + base, n, radius);
-            }
-            return mask;
-          },
-          [&](std::size_t i) {
-            const double d = metric_(query, object(ids[i]));
-            ++stats.distance_computations;
-            if (d <= radius) range_out->push_back(Neighbor{ids[i], d});
-          },
-          stats);
-      return;
-    }
-    // k-NN mode stays per-entry (tau shrinks with every offer), reading the
-    // SoA columns scalar-wise.
-    for (std::size_t i = 0; i < count; ++i) {
-      ++stats.leaf_points_seen;
-      const double r = core::KnnTau(*heap_out, k);
-      bool pass = std::abs(d1 - d1s[i]) <= r &&
-                  (!has_vp2 || std::abs(d2 - d2s[i]) <= r);
-      if (pass) {
-        for (std::size_t j = 0; j < checks; ++j) {
-          if (std::abs(qpath[j] - slab[j * count + i]) > r) {
-            pass = false;
-            break;
-          }
-        }
-      }
-      if (!pass) {
-        ++stats.leaf_points_filtered;
-        continue;
-      }
-      const double d = metric_(query, object(ids[i]));
-      ++stats.distance_computations;
-      core::KnnOffer(*heap_out, k, Neighbor{ids[i], d});
-    }
-  }
-
-  template <typename Query>
-  void KnnSearchNode(std::uint64_t ni, const Query& query, std::size_t k,
-                     std::vector<double>& qpath, std::vector<Neighbor>& heap,
-                     SearchStats& stats,
-                     const core::RootPrime* prime = nullptr) const {
-    const FlatNodeRec& node = p_.nodes[ni];
-    ++stats.nodes_visited;
-    double d1;
-    if (prime != nullptr && prime->has_d1) {
-      core::ConsumePrimedDistance(metric_);
-      d1 = prime->d1;
-    } else {
-      d1 = metric_(query, object(node.vp1));
-    }
-    ++stats.distance_computations;
-    core::KnnOffer(heap, k, Neighbor{node.vp1, d1});
-    double d2 = 0.0;
-    if (HasVp2(node)) {
-      if (prime != nullptr && prime->has_d2) {
-        core::ConsumePrimedDistance(metric_);
-        d2 = prime->d2;
-      } else {
-        d2 = metric_(query, object(node.vp2));
-      }
-      ++stats.distance_computations;
-      core::KnnOffer(heap, k, Neighbor{node.vp2, d2});
-    }
-
-    if (IsLeaf(node)) {
-      FilterLeaf(node, query, 0.0, d1, d2, qpath, nullptr, &heap, k, stats);
-      return;
-    }
-
-    const std::size_t p = p_.header.num_path_distances;
-    std::size_t pushed = 0;
-    if (qpath.size() < p) {
-      qpath.push_back(d1);
-      ++pushed;
-      if (qpath.size() < p) {
-        qpath.push_back(d2);
-        ++pushed;
-      }
-    }
-
-    struct Ranked {
-      double bound;
-      std::size_t child;
     };
-    const std::size_t m = p_.header.order;
-    const double* lower1 = p_.bounds + node.begin;
-    const double* upper1 = lower1 + m;
-    const double* lower2 = upper1 + m;
-    const double* upper2 = lower2 + m * m;
-    const std::uint32_t* kids = p_.children + node.children;
-    std::vector<Ranked> ranked;
-    ranked.reserve(m * m);
-    for (std::size_t g = 0; g < m; ++g) {
-      const double b1 = std::max({0.0, lower1[g] - d1, d1 - upper1[g]});
-      for (std::size_t s = 0; s < m; ++s) {
-        const std::size_t c = g * m + s;
-        if (kids[c] == kNullChild) continue;
-        const double b2 = std::max({0.0, lower2[c] - d2, d2 - upper2[c]});
-        ranked.push_back(Ranked{std::max(b1, b2), c});
-      }
-    }
-    std::sort(ranked.begin(), ranked.end(),
-              [](const Ranked& a, const Ranked& b) { return a.bound < b.bound; });
-    for (const Ranked& r : ranked) {
-      if (r.bound > core::KnnTau(heap, k)) break;
-      KnnSearchNode(kids[r.child], query, k, qpath, heap, stats);
-    }
-    qpath.resize(qpath.size() - pushed);
-  }
 
-  FlatArenaParts p_;
+    FlatArenaParts arena;  // a copy, so each field is one load away
+
+    NodeRef root() const { return arena.header.root; }
+    std::size_t order() const { return arena.header.order; }
+    std::size_t num_path_distances() const {
+      return arena.header.num_path_distances;
+    }
+    bool is_leaf(NodeRef n) const {
+      return (arena.nodes[n].flags & kNodeLeaf) != 0;
+    }
+    bool has_vp2(NodeRef n) const {
+      return (arena.nodes[n].flags & kNodeHasVp2) != 0;
+    }
+    std::size_t vp1(NodeRef n) const { return arena.nodes[n].vp1; }
+    std::size_t vp2(NodeRef n) const { return arena.nodes[n].vp2; }
+    core::ShellBounds bounds(NodeRef n) const {
+      const std::size_t m = arena.header.order;
+      const double* lower1 = arena.bounds + arena.nodes[n].begin;
+      return {lower1, lower1 + m, lower1 + 2 * m, lower1 + 2 * m + m * m};
+    }
+    NodeRef child(NodeRef n, std::size_t c) const {
+      const std::uint32_t kid = arena.children[arena.nodes[n].children + c];
+      return kid == kNullChild ? kNoNode : kid;
+    }
+    Leaf leaf(NodeRef n) const {
+      const FlatNodeRec& node = arena.nodes[n];
+      const FlatLeafPathRec& lp = arena.leafpaths[n];
+      return {arena.ids + node.begin, arena.d1 + node.begin, arena.d2 + node.begin,
+              arena.path + lp.slab_offset, node.count, lp.path_length,
+              (node.flags & kNodeHasVp2) != 0};
+    }
+    VectorView object(std::size_t id) const {
+      return VectorView(arena.objects + id * arena.header.dim, arena.header.dim);
+    }
+  };
+
+  FlatTreeView(const FlatArenaParts& parts, Metric metric,
+               std::shared_ptr<const std::vector<std::uint8_t>> owned)
+      : p_(parts), metric_(std::move(metric)), owned_(std::move(owned)) {}
+
+  FlatArenaParts p_;  ///< always a v2 view
   Metric metric_;
+  /// The upgraded copy of a v1 arena (p_ aliases it); null for v2.
+  std::shared_ptr<const std::vector<std::uint8_t>> owned_;
 };
 
 }  // namespace mvp::snapshot::flat

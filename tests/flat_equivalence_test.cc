@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "common/query.h"
 #include "common/rng.h"
 #include "common/serialize.h"
+#include "core/mvp_tree.h"
 #include "dataset/vector_gen.h"
 #include "metric/counting.h"
 #include "metric/kernels/kernels.h"
@@ -486,6 +489,91 @@ TEST(FlatServingTest, ReSerializationFailsFast) {
               StatusCode::kInvalidArgument);
   }
   std::filesystem::remove_all(dir);
+}
+
+/// A v1 arena of one heap tree, as the legacy writer emits it.
+std::vector<std::uint8_t> V1ArenaOf(const core::MvpTree<Vector, L2>& tree) {
+  BinaryWriter stream;
+  EXPECT_TRUE(tree.Serialize(&stream, VectorCodec{}).ok());
+  auto arena = flat::BuildFlatArena(stream.buffer().data(),
+                                    stream.buffer().size(),
+                                    flat::kFlatVersionV1);
+  EXPECT_TRUE(arena.ok()) << arena.status().ToString();
+  return std::move(arena).ValueOrDie();
+}
+
+void ExpectSameSearch(const std::vector<Neighbor>& a,
+                      const std::vector<Neighbor>& b, const SearchStats& sa,
+                      const SearchStats& sb, std::size_t q) {
+  EXPECT_EQ(a, b) << "query " << q;
+  EXPECT_EQ(sa.distance_computations, sb.distance_computations) << "query " << q;
+  EXPECT_EQ(sa.nodes_visited, sb.nodes_visited) << "query " << q;
+  EXPECT_EQ(sa.leaf_points_seen, sb.leaf_points_seen) << "query " << q;
+  EXPECT_EQ(sa.leaf_points_filtered, sb.leaf_points_filtered) << "query " << q;
+}
+
+core::MvpTree<Vector, L2> UpgradeFixtureTree() {
+  core::MvpTree<Vector, L2>::Options options;
+  options.leaf_capacity = 8;
+  options.num_path_distances = 4;
+  auto tree = core::MvpTree<Vector, L2>::Build(
+      dataset::UniformVectors(300, 8, 406), L2(), options);
+  EXPECT_TRUE(tree.ok());
+  return std::move(tree).ValueOrDie();
+}
+
+TEST(FlatV1UpgradeTest, ViewOwnsItsUpgradedCopy) {
+  // Open upgrades a v1 arena into a copy the view owns, so the view keeps
+  // answering exactly like the heap tree after the caller scribbles over
+  // and frees the bytes it was opened from.
+  const auto tree = UpgradeFixtureTree();
+  auto bytes = std::make_unique<std::vector<std::uint8_t>>(V1ArenaOf(tree));
+  auto view = flat::FlatTreeView<L2>::Open(bytes->data(), bytes->size(), L2());
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(view.value().version(), flat::kFlatVersionV1);
+  std::fill(bytes->begin(), bytes->end(), std::uint8_t{0xff});
+  bytes.reset();
+
+  const auto queries = dataset::UniformQueryVectors(50, 8, 407);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    SearchStats hs, fs;
+    const auto heap_range = tree.RangeSearch(queries[q], 0.7, &hs);
+    const auto flat_range = view.value().RangeSearch(queries[q], 0.7, &fs);
+    ExpectSameSearch(heap_range, flat_range, hs, fs, q);
+    SearchStats hks, fks;
+    const auto heap_knn = tree.KnnSearch(queries[q], 7, &hks);
+    const auto flat_knn = view.value().KnnSearch(queries[q], 7, &fks);
+    ExpectSameSearch(heap_knn, flat_knn, hks, fks, q);
+  }
+}
+
+TEST(FlatV1UpgradeTest, LeafMixingPathLengthsIsCorruption) {
+  // No writer emits a leaf whose entries carry PATH slices of different
+  // lengths. v1 validation only bounds-checks each slice, so such an arena
+  // parses; the upgrade to v2's one-slab-per-leaf layout must refuse it.
+  auto arena = V1ArenaOf(UpgradeFixtureTree());
+  auto parts = flat::ParseFlatArena(arena.data(), arena.size());
+  ASSERT_TRUE(parts.ok()) << parts.status().ToString();
+  const flat::FlatArenaParts& p = parts.value();
+  std::size_t entry = ~std::size_t{0};
+  for (std::uint64_t n = 0; n < p.header.node_count; ++n) {
+    const flat::FlatNodeRec& node = p.nodes[n];
+    if ((node.flags & flat::kNodeLeaf) != 0 && node.count >= 2 &&
+        p.entries[node.begin + 1].path_length > 0) {
+      entry = static_cast<std::size_t>(node.begin + 1);
+      break;
+    }
+  }
+  ASSERT_NE(entry, ~std::size_t{0});
+  flat::FlatLeafEntryRec rec = p.entries[entry];
+  --rec.path_length;
+  std::memcpy(arena.data() + p.header.entries_offset +
+                  entry * sizeof(flat::FlatLeafEntryRec),
+              &rec, sizeof(rec));
+
+  ASSERT_TRUE(flat::ParseFlatArena(arena.data(), arena.size()).ok());
+  auto view = flat::FlatTreeView<L2>::Open(arena.data(), arena.size(), L2());
+  EXPECT_EQ(view.status().code(), StatusCode::kCorruption);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, FlatEquivalenceTest,

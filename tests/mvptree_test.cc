@@ -280,6 +280,41 @@ TEST(MvpTreeTest, ApproximateKnnRespectsBudget) {
   EXPECT_EQ(stats.distance_computations, 0u);
 }
 
+// The budgeted k-NN is the exact k-NN cut at its budget-th metric call:
+// below the exact search's count it spends the budget exactly; at or
+// above it, results and all four counters are KnnSearch's.
+TEST(MvpTreeTest, ApproximateKnnIsTheExactSearchCutAtTheBudget) {
+  const auto data = dataset::UniformVectors(2000, 8, 313);
+  auto tree = MustBuild(data);
+  const auto queries = dataset::UniformQueryVectors(5, 8, 317);
+  for (const auto& q : queries) {
+    SearchStats exact_stats;
+    const auto exact = tree.KnnSearch(q, 10, &exact_stats);
+    const std::uint64_t n = exact_stats.distance_computations;
+    ASSERT_GT(n, 4u);
+    for (const std::uint64_t budget : {std::uint64_t{1}, std::uint64_t{2},
+                                       n / 3, n - 1}) {
+      SearchStats stats;
+      tree.KnnSearchApproximate(q, 10, budget, &stats);
+      EXPECT_EQ(stats.distance_computations, budget) << "budget " << budget;
+    }
+    for (const std::uint64_t budget :
+         {n, n + 1, 10 * n, std::numeric_limits<std::uint64_t>::max()}) {
+      SearchStats stats;
+      const auto approx = tree.KnnSearchApproximate(q, 10, budget, &stats);
+      ASSERT_EQ(approx.size(), exact.size()) << "budget " << budget;
+      for (std::size_t i = 0; i < exact.size(); ++i) {
+        EXPECT_EQ(approx[i].id, exact[i].id) << "budget " << budget;
+        EXPECT_EQ(approx[i].distance, exact[i].distance) << "budget " << budget;
+      }
+      EXPECT_EQ(stats.distance_computations, exact_stats.distance_computations);
+      EXPECT_EQ(stats.nodes_visited, exact_stats.nodes_visited);
+      EXPECT_EQ(stats.leaf_points_seen, exact_stats.leaf_points_seen);
+      EXPECT_EQ(stats.leaf_points_filtered, exact_stats.leaf_points_filtered);
+    }
+  }
+}
+
 TEST(MvpTreeTest, ApproximateKnnRecallGrowsWithBudget) {
   // On clustered data (meaningful neighbors) recall should climb quickly
   // and monotonically-ish with the budget; verify endpoints.

@@ -13,8 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/codec.h"
@@ -28,6 +31,7 @@
 #include "serve/sharded_index.h"
 #include "serve/thread_pool.h"
 #include "snapshot/snapshot_store.h"
+#include "wal/wal.h"
 
 namespace mvp::net {
 namespace {
@@ -440,6 +444,212 @@ TEST_F(NetLoopbackTest, EmptyCollectionRefreshLifecycle) {
   ASSERT_TRUE(listed.ok());
   EXPECT_EQ(listed.value()[0].generation, 1u);
   EXPECT_EQ(listed.value()[0].size, LeaderData().size());
+  server->Stop();
+}
+
+void ExpectRefusedForDimension(const WireOutcome& outcome, std::size_t i) {
+  EXPECT_EQ(outcome.status_code,
+            static_cast<std::uint32_t>(StatusCode::kInvalidArgument))
+      << "query " << i;
+  EXPECT_TRUE(outcome.neighbors.empty()) << "query " << i;
+  EXPECT_EQ(outcome.distance_computations, 0u) << "query " << i;
+  EXPECT_EQ(outcome.search.nodes_visited, 0u) << "query " << i;
+}
+
+/// `good` with a shorter (1-d) or longer (9-d) copy after each query.
+std::vector<WireQuery> InterleaveWrongDimensions(
+    const std::vector<WireQuery>& good) {
+  std::vector<WireQuery> batch;
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    batch.push_back(good[i]);
+    WireQuery bad = good[i];
+    bad.point.resize(i % 2 == 0 ? 1 : 9, 0.5);
+    batch.push_back(std::move(bad));
+  }
+  return batch;
+}
+
+// A wire vector whose dimension differs from the collection's is refused
+// per query with InvalidArgument before any metric call (the metric would
+// read past the shorter operand), and the rest of its batch is answered
+// exactly as in-process — on flat and heap static collections alike.
+TEST_F(NetLoopbackTest, WrongDimensionQueriesAreRefusedPerQuery) {
+  snapshot::SnapshotStore flat_store(StorePath("flat"));
+  ASSERT_TRUE(flat_store.SaveFlat(BuildLeaderIndex()).ok());
+  snapshot::SnapshotStore heap_store(StorePath("heap"));
+  ASSERT_TRUE(heap_store.SaveSharded(BuildLeaderIndex(), VectorCodec{}).ok());
+  ServerOptions options;
+  for (const char* name : {"flat", "heap"}) {
+    CollectionOptions collection;
+    collection.name = name;
+    collection.dir = StorePath(name);
+    options.collections.push_back(std::move(collection));
+  }
+  auto server = Server::Start(std::move(options));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Client client = MustConnect(*server.value());
+
+  const auto good = MixedQueries(8);
+  const auto batch = InterleaveWrongDimensions(good);
+  serve::ThreadPool pool(2);
+  auto flat = flat_store.OpenFlat<L2>(L2(), &pool);
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  auto heap = heap_store.LoadSharded<Vector>(L2(), VectorCodec{}, &pool);
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  const auto flat_local =
+      serve::RunBatch(flat.value().index, InProcessQueries(good), &pool);
+  const auto heap_local =
+      serve::RunBatch(heap.value().index, InProcessQueries(good), &pool);
+
+  for (const auto& [name, local] :
+       {std::pair{"flat", &flat_local}, std::pair{"heap", &heap_local}}) {
+    SCOPED_TRACE(name);
+    auto remote = client.BatchQuery(name, batch);
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    ASSERT_EQ(remote.value().size(), batch.size());
+    for (std::size_t i = 0; i < good.size(); ++i) {
+      ExpectOutcomeMatches(remote.value()[2 * i], (*local)[i], i);
+      ExpectRefusedForDimension(remote.value()[2 * i + 1], i);
+    }
+    for (const std::size_t i : {std::size_t{1}, std::size_t{3}}) {
+      auto one = client.Query(name, batch[i]);
+      ASSERT_TRUE(one.ok()) << one.status().ToString();
+      ExpectRefusedForDimension(one.value(), i);
+    }
+  }
+  server.value()->Stop();
+}
+
+// A dynamic collection refuses wrong-dimension queries per query and
+// wrong-dimension inserts before anything reaches the WAL.
+TEST_F(NetLoopbackTest, WrongDimensionInsertIsRefusedBeforeTheWal) {
+  const std::string store_dir = StorePath("live");
+  std::filesystem::create_directories(store_dir);
+  const auto data = dataset::UniformVectors(120, 4, 43);
+  {
+    auto overlay = dynamic::DynamicOverlay<Vector, L2, VectorCodec>::Open(
+        store_dir, L2(), VectorCodec{});
+    ASSERT_TRUE(overlay.ok()) << overlay.status().ToString();
+    for (const Vector& v : data) {
+      ASSERT_TRUE(overlay.value()->Insert(v).ok());
+    }
+  }
+  CollectionOptions collection;
+  collection.name = "live";
+  collection.dynamic = true;
+  auto server = StartStatic(store_dir, collection);
+  ASSERT_NE(server, nullptr);
+  Client client = MustConnect(*server);
+
+  const std::string wal = store_dir + "/" + wal::kWalFileName;
+  const auto wal_bytes = std::filesystem::file_size(wal);
+  for (const std::size_t dim : {std::size_t{1}, std::size_t{9}}) {
+    auto id = server->Insert("live", Vector(dim, 0.5));
+    EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument) << dim;
+  }
+  EXPECT_EQ(std::filesystem::file_size(wal), wal_bytes);
+
+  const auto good = MixedQueries(6);
+  auto remote = client.BatchQuery("live", InterleaveWrongDimensions(good));
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  ASSERT_EQ(remote.value().size(), 2 * good.size());
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    EXPECT_EQ(remote.value()[2 * i].status_code, 0u) << "query " << i;
+    EXPECT_GT(remote.value()[2 * i].distance_computations, 0u);
+    ExpectRefusedForDimension(remote.value()[2 * i + 1], i);
+  }
+
+  auto id = server->Insert("live", Vector(4, 0.5));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(id.value(), data.size());
+  auto listed = client.ListCollections();
+  ASSERT_TRUE(listed.ok());
+  EXPECT_EQ(listed.value()[0].size, data.size() + 1);
+  server->Stop();
+}
+
+// An empty dynamic collection takes its dimension from its first vector.
+TEST_F(NetLoopbackTest, EmptyDynamicCollectionTakesFirstInsertDimension) {
+  const std::string store_dir = StorePath("fresh");
+  std::filesystem::create_directories(store_dir);
+  CollectionOptions collection;
+  collection.name = "fresh";
+  collection.dynamic = true;
+  auto server = StartStatic(store_dir, collection);
+  ASSERT_NE(server, nullptr);
+  Client client = MustConnect(*server);
+
+  WireQuery q;
+  q.kind = 1;
+  q.k = 3;
+  q.point = Vector(3, 0.25);
+  auto empty = client.Query("fresh", q);
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(empty.value().status_code, 0u);
+  EXPECT_TRUE(empty.value().neighbors.empty());
+
+  ASSERT_TRUE(server->Insert("fresh", Vector(3, 0.5)).ok());
+  EXPECT_EQ(server->Insert("fresh", Vector(4, 0.5)).status().code(),
+            StatusCode::kInvalidArgument);
+  auto answered = client.Query("fresh", q);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_EQ(answered.value().status_code, 0u);
+  EXPECT_EQ(answered.value().neighbors.size(), 1u);
+  q.point = Vector(2, 0.25);
+  auto refused = client.Query("fresh", q);
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  ExpectRefusedForDimension(refused.value(), 0);
+  server->Stop();
+}
+
+// Racing first vectors of two dimensions into an empty dynamic collection,
+// with queries of both dimensions in flight: one dimension wins outright,
+// every vector of the other is refused, and no query is answered against
+// vectors of another dimension.
+TEST_F(NetLoopbackTest, RacingFirstInsertsSettleOnOneDimension) {
+  const std::string store_dir = StorePath("race");
+  std::filesystem::create_directories(store_dir);
+  CollectionOptions collection;
+  collection.name = "race";
+  collection.dynamic = true;
+  auto server = StartStatic(store_dir, collection);
+  ASSERT_NE(server, nullptr);
+
+  constexpr int kPerThread = 20;
+  std::atomic<int> inserted3{0}, inserted4{0};
+  auto inserter = [&](std::size_t dim, std::atomic<int>* inserted) {
+    for (int i = 0; i < kPerThread; ++i) {
+      if (server->Insert("race", Vector(dim, 0.1 * i)).ok()) ++*inserted;
+    }
+  };
+  std::atomic<bool> mismatch{false};
+  auto querier = [&] {
+    Client client = MustConnect(*server);
+    for (int i = 0; i < 2 * kPerThread; ++i) {
+      WireQuery q;
+      q.kind = 1;
+      q.k = 3;
+      q.point = Vector(i % 2 == 0 ? 3 : 4, 0.5);
+      auto outcome = client.Query("race", q);
+      if (!outcome.ok()) continue;
+      // An answered query's dimension matched every stored vector, so a
+      // 3-d answer after 4-d inserts landed (or vice versa) is a mismatch.
+      if (outcome.value().status_code == 0 &&
+          !outcome.value().neighbors.empty() &&
+          (q.point.size() == 3 ? inserted4.load() : inserted3.load()) > 0) {
+        mismatch = true;
+      }
+    }
+  };
+  std::thread a(inserter, 3, &inserted3);
+  std::thread b(inserter, 4, &inserted4);
+  std::thread c(querier);
+  a.join();
+  b.join();
+  c.join();
+  EXPECT_FALSE(mismatch.load());
+  EXPECT_EQ(inserted3.load() + inserted4.load(), kPerThread);
+  EXPECT_TRUE(inserted3.load() == 0 || inserted4.load() == 0);
   server->Stop();
 }
 

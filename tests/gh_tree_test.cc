@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "dataset/vector_gen.h"
 #include "dataset/words.h"
 #include "metric/counting.h"
@@ -31,12 +34,17 @@ TEST(GhTreeTest, EmptyAndTiny) {
   EXPECT_EQ(two.value().RangeSearch({0, 0}, 5.0).size(), 2u);
 }
 
+// gtest names each case after the bytes of its GhParam, so the struct must
+// have no padding: padding bytes are indeterminate and made the test names
+// differ from one build (and one run) to the next. far_apart is therefore
+// an int-sized flag rather than a bool.
 struct GhParam {
   int leaf_capacity;
-  bool far_apart;
+  std::int32_t far_apart;
   std::size_t n;
   std::size_t dim;
 };
+static_assert(std::has_unique_object_representations_v<GhParam>);
 
 class GhTreeSweepTest : public ::testing::TestWithParam<GhParam> {};
 
@@ -45,7 +53,7 @@ TEST_P(GhTreeSweepTest, RangeSearchMatchesLinearScan) {
   const auto data = dataset::UniformVectors(p.n, p.dim, 11);
   VecGh::Options options;
   options.leaf_capacity = p.leaf_capacity;
-  options.far_apart_pivots = p.far_apart;
+  options.far_apart_pivots = p.far_apart != 0;
   auto built = VecGh::Build(data, L2(), options);
   ASSERT_TRUE(built.ok());
   scan::LinearScan<Vector, L2> reference(data, L2());
@@ -74,7 +82,7 @@ TEST_P(GhTreeSweepTest, KnnMatchesLinearScan) {
   const auto data = dataset::UniformVectors(p.n, p.dim, 21);
   VecGh::Options options;
   options.leaf_capacity = p.leaf_capacity;
-  options.far_apart_pivots = p.far_apart;
+  options.far_apart_pivots = p.far_apart != 0;
   auto built = VecGh::Build(data, L2(), options);
   ASSERT_TRUE(built.ok());
   scan::LinearScan<Vector, L2> reference(data, L2());

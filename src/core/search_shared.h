@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/query.h"
+#include "metric/kernels/kernels.h"
 
 /// \file
 /// Search primitives shared by the mvp-tree indexes.
@@ -16,8 +17,8 @@
 /// The pruning and candidate-set arithmetic of the §4.3 traversal
 /// (core/mvp_search.h, which serves both the heap tree and the flat
 /// mmap-native view) lives here: an annulus/shell intersection test, the
-/// k-NN shrinking-radius bookkeeping, the chunked range leaf filter, batch
-/// root priming, and stats merging.
+/// k-NN shrinking-radius bookkeeping, the chunked range leaf filter, node
+/// priming and the batching opt-in, and stats merging.
 
 namespace mvp::core {
 
@@ -81,13 +82,16 @@ void ChunkedRangeFilter(std::size_t count, MaskFn&& mask_of, EvalFn&& eval,
   }
 }
 
-/// Precomputed root vantage-point distances for one query of a batch
-/// (serve::RunBatch amortises a root's vp distances across co-arriving
-/// queries with the many-queries-one-vantage-point kernel shape). A consumer
-/// substitutes d1/d2 for its own root metric calls; the values are
-/// bit-identical to what those calls would return, and the consumer still
-/// charges SearchStats (and the cancellation budget) for each one, so primed
-/// and unprimed searches are indistinguishable in results and stats.
+/// Precomputed vantage-point distances of one node for one query. Root
+/// primes come from serve::RunBatch, which amortises a shard root's vp
+/// distances across co-arriving queries with the many-queries-one-vantage-
+/// point kernel shape; the batched flat traversal (core/mvp_search.h) primes
+/// the children it is about to enter with the gathered shape. A consumer
+/// substitutes d1/d2 for its own metric calls on entering the node; the
+/// values are bit-identical to what those calls would return, and the
+/// consumer still charges SearchStats (and the cancellation budget) for
+/// each one, so primed and unprimed searches are indistinguishable in
+/// results and stats.
 struct RootPrime {
   double d1 = 0.0;
   double d2 = 0.0;
@@ -103,6 +107,16 @@ inline void ConsumePrimedDistance(const Metric& metric) {
     metric.CountPrimed();
   }
 }
+
+/// Opt-in for batched distance evaluation: `available`, and the kernel
+/// `family` whose PairDistance(query, row) is this metric's d(query,
+/// object). A bare kernel-family metric (metric::kernels::FamilyFor)
+/// qualifies. A wrapper qualifies only by an explicit specialisation, and
+/// only when ConsumePrimedDistance replays everything its call does besides
+/// computing the distance (serve::CancelChecked); counting wrappers stay
+/// per call, so their counts never silently drop.
+template <typename Metric>
+struct BatchFamily : metric::kernels::FamilyFor<Metric> {};
 
 /// Accumulates one search's counters into an aggregate.
 inline void MergeSearchStats(SearchStats* out, const SearchStats& in) {

@@ -7,6 +7,7 @@
 #include <exception>
 #include <utility>
 
+#include "core/search_shared.h"
 #include "metric/counting.h"
 
 /// \file
@@ -205,5 +206,15 @@ class CancelChecked {
 };
 
 }  // namespace mvp::serve
+
+namespace mvp::core {
+
+/// CancelChecked charges a primed distance exactly as it charges a call
+/// (CountPrimed), so a search through it may batch whatever its inner
+/// metric could.
+template <typename M>
+struct BatchFamily<serve::CancelChecked<M>> : BatchFamily<M> {};
+
+}  // namespace mvp::core
 
 #endif  // MVPTREE_SERVE_CANCEL_H_

@@ -13,6 +13,7 @@
 #include "common/query.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "core/search_shared.h"
 #include "metric/metric.h"
 #include "vptree/vp_select.h"
 
@@ -83,7 +84,7 @@ class GeneralizedMvpTree {
       RangeSearchNode(*root_, query, radius, qpath, result, local);
     }
     std::sort(result.begin(), result.end(), NeighborLess);
-    if (stats != nullptr) Merge(stats, local);
+    if (stats != nullptr) MergeSearchStats(stats, local);
     return result;
   }
 
@@ -98,7 +99,7 @@ class GeneralizedMvpTree {
       KnnSearchNode(*root_, query, k, qpath, heap, local);
     }
     std::sort_heap(heap.begin(), heap.end(), NeighborLess);
-    if (stats != nullptr) Merge(stats, local);
+    if (stats != nullptr) MergeSearchStats(stats, local);
     return heap;
   }
 
@@ -282,10 +283,6 @@ class GeneralizedMvpTree {
 
   // ---------------------------------------------------------------- search
 
-  static bool Intersects(double d, double r, double lo, double hi) {
-    return d - r <= hi && d + r >= lo;
-  }
-
   void RangeSearchNode(const Node& node, const Object& query, double radius,
                        std::vector<double>& qpath,
                        std::vector<Neighbor>& result,
@@ -343,26 +340,11 @@ class GeneralizedMvpTree {
     }
     for (std::size_t s = 0; s < m; ++s) {
       const std::size_t idx = prefix * m + s;
-      if (!Intersects(dq[l], radius, node.lower[l][idx], node.upper[l][idx])) {
+      if (!ShellIntersects(dq[l], radius, node.lower[l][idx],
+                           node.upper[l][idx])) {
         continue;
       }
       DescendRange(node, query, radius, dq, l + 1, idx, qpath, result, stats);
-    }
-  }
-
-  static double Tau(const std::vector<Neighbor>& heap, std::size_t k) {
-    return heap.size() < k ? std::numeric_limits<double>::infinity()
-                           : heap.front().distance;
-  }
-
-  static void Offer(std::vector<Neighbor>& heap, std::size_t k, Neighbor n) {
-    if (heap.size() < k) {
-      heap.push_back(n);
-      std::push_heap(heap.begin(), heap.end(), NeighborLess);
-    } else if (NeighborLess(n, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), NeighborLess);
-      heap.back() = n;
-      std::push_heap(heap.begin(), heap.end(), NeighborLess);
     }
   }
 
@@ -374,12 +356,12 @@ class GeneralizedMvpTree {
     for (std::size_t l = 0; l < node.vp_ids.size(); ++l) {
       dq[l] = metric_(query, objects_[node.vp_ids[l]]);
       ++stats.distance_computations;
-      Offer(heap, k, Neighbor{node.vp_ids[l], dq[l]});
+      KnnOffer(heap, k, Neighbor{node.vp_ids[l], dq[l]});
     }
     if (node.is_leaf) {
       for (const LeafEntry& x : node.bucket) {
         ++stats.leaf_points_seen;
-        const double r = Tau(heap, k);
+        const double r = KnnTau(heap, k);
         bool pass = true;
         for (std::size_t l = 0; l < x.d_length && pass; ++l) {
           pass = std::abs(dq[l] - d_pool_[x.d_offset + l]) <= r;
@@ -393,7 +375,7 @@ class GeneralizedMvpTree {
         }
         const double d = metric_(query, objects_[x.id]);
         ++stats.distance_computations;
-        Offer(heap, k, Neighbor{x.id, d});
+        KnnOffer(heap, k, Neighbor{x.id, d});
       }
       return;
     }
@@ -431,7 +413,7 @@ class GeneralizedMvpTree {
     std::sort(ranked.begin(), ranked.end(),
               [](const Ranked& a, const Ranked& b) { return a.bound < b.bound; });
     for (const Ranked& r : ranked) {
-      if (r.bound > Tau(heap, k)) break;
+      if (r.bound > KnnTau(heap, k)) break;
       KnnSearchNode(*node.children[r.child], query, k, qpath, heap, stats);
     }
     qpath.resize(qpath.size() - pushed);
@@ -450,13 +432,6 @@ class GeneralizedMvpTree {
     for (const auto& child : node.children) {
       if (child != nullptr) CollectStats(*child, depth + 1, stats);
     }
-  }
-
-  static void Merge(SearchStats* out, const SearchStats& in) {
-    out->distance_computations += in.distance_computations;
-    out->nodes_visited += in.nodes_visited;
-    out->leaf_points_seen += in.leaf_points_seen;
-    out->leaf_points_filtered += in.leaf_points_filtered;
   }
 
   std::vector<Object> objects_;

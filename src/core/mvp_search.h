@@ -26,6 +26,12 @@
 /// computation. The metric is a parameter, so callers can route the
 /// traversal through an accounting or budget-enforcing wrapper.
 ///
+/// §2's farthest forms, farther-than-range (FarRange) and k-farthest
+/// (FarKnn), run the same traversal with the pruning bound turned around:
+/// d(Q, vp) plus a shell's upper bound caps every distance in a child, and
+/// LeafUpperBound caps a leaf entry's from D1, D2 and PATH. They evaluate
+/// every distance on demand; only the heap tree exposes them.
+///
 /// A representation plugs in as a node source: `NodeRef` and its null
 /// `kNone`, `root()`, `order()`, `num_path_distances()`, per node
 /// `is_leaf`/`has_vp2`/`vp1`/`vp2`/`bounds`/`child(n, c)`, `object(id)`,
@@ -196,6 +202,73 @@ class MvpSearch {
     qpath_.resize(qpath_.size() - pushed);
   }
 
+  /// §2's farther-than-range query: objects at distance >= `radius`,
+  /// appended unsorted to `out`. The pruning bound changes direction: a
+  /// child is skipped when d(Q, vp) plus its shell's upper bound is below
+  /// `radius`, and a leaf entry when its LeafUpperBound is.
+  void FarRange(NodeRef node, double radius, std::vector<Neighbor>& out) {
+    auto offer = [&](Neighbor n) {
+      if (n.distance >= radius) out.push_back(n);
+    };
+    const auto [d1, d2] = Vantages(node, nullptr, offer);
+    if (source_.is_leaf(node)) {
+      FarLeaf(source_.leaf(node), d1, d2, [&] { return radius; }, offer);
+      return;
+    }
+
+    const std::size_t pushed = PushPath(d1, d2);
+    const std::size_t m = source_.order();
+    const ShellBounds b = source_.bounds(node);
+    for (std::size_t g = 0; g < m; ++g) {
+      if (d1 + b.upper1[g] < radius) continue;
+      for (std::size_t s = 0; s < m; ++s) {
+        const std::size_t c = g * m + s;
+        const NodeRef child = source_.child(node, c);
+        if (child == Source::kNone || d2 + b.upper2[c] < radius) continue;
+        FarRange(child, radius, out);
+      }
+    }
+    qpath_.resize(qpath_.size() - pushed);
+  }
+
+  /// §2's k-farthest query into the heap `heap` (under FartherFirst) of the
+  /// farthest <= k seen so far: children in decreasing order of their
+  /// distance upper bound, stopping once it falls below the k-th farthest.
+  void FarKnn(NodeRef node, std::size_t k, std::vector<Neighbor>& heap) {
+    auto offer = [&](Neighbor n) { FarOffer(heap, k, n); };
+    const auto [d1, d2] = Vantages(node, nullptr, offer);
+    if (source_.is_leaf(node)) {
+      FarLeaf(source_.leaf(node), d1, d2, [&] { return FarTau(heap, k); },
+              offer);
+      return;
+    }
+
+    const std::size_t pushed = PushPath(d1, d2);
+    const std::size_t m = source_.order();
+    const ShellBounds b = source_.bounds(node);
+    const std::size_t begin = pending_.size();
+    for (std::size_t g = 0; g < m; ++g) {
+      for (std::size_t s = 0; s < m; ++s) {
+        const std::size_t c = g * m + s;
+        const NodeRef child = source_.child(node, c);
+        if (child == Source::kNone) continue;
+        pending_.push_back(Pending{
+            std::min(d1 + b.upper1[g], d2 + b.upper2[c]), child, {}});
+      }
+    }
+    std::sort(pending_.begin() + static_cast<std::ptrdiff_t>(begin),
+              pending_.end(), [](const Pending& a, const Pending& b) {
+                return a.bound > b.bound;
+              });
+    const std::size_t end = pending_.size();
+    for (std::size_t i = begin; i < end; ++i) {
+      if (pending_[i].bound < FarTau(heap, k)) break;
+      FarKnn(pending_[i].child, k, heap);
+    }
+    pending_.resize(begin);
+    qpath_.resize(qpath_.size() - pushed);
+  }
+
  private:
   /// Batching applies when the source gathers object rows for a kernel
   /// (GatherDistances), the metric opts in (BatchFamily), and the query is
@@ -223,8 +296,9 @@ class MvpSearch {
 
   bool batched() const { return kBatchable && batched_; }
 
-  /// An internal node's child awaiting descent: its k-NN lower bound (0 in
-  /// range mode) and, once filled, its vantage-point distances.
+  /// An internal node's child awaiting descent: its k-NN lower bound or
+  /// k-farthest upper bound (0 in range mode) and, once filled, its
+  /// vantage-point distances.
   struct Pending {
     double bound;
     NodeRef child;
@@ -405,6 +479,36 @@ class MvpSearch {
         const std::size_t id = leaf.id(i);
         KnnOffer(heap, k, Neighbor{id, LeafDistance(id, bit)});
       }
+    }
+  }
+
+  /// Upper bound on d(Q, entry i) from its stored distances, by d(Q, x) <=
+  /// d(Q, v) + d(x, v) for the leaf's vantage points and PATH ancestors.
+  template <typename Leaf>
+  double LeafUpperBound(const Leaf& leaf, std::size_t i, double d1,
+                        double d2) const {
+    double ub = d1 + leaf.d1(i);
+    if (leaf.has_vp2()) ub = std::min(ub, d2 + leaf.d2(i));
+    const std::size_t checks = leaf.path_checks(i, qpath_.size());
+    for (std::size_t j = 0; j < checks; ++j) {
+      ub = std::min(ub, qpath_[j] + leaf.path(i, j));
+    }
+    return ub;
+  }
+
+  /// A farthest search's leaf: each entry whose LeafUpperBound reaches
+  /// `threshold()` is evaluated and offered; the rest are filtered.
+  template <typename Leaf, typename Threshold, typename Offer>
+  void FarLeaf(const Leaf& leaf, double d1, double d2, Threshold&& threshold,
+               Offer&& offer) {
+    for (std::size_t i = 0; i < leaf.size(); ++i) {
+      ++stats_.leaf_points_seen;
+      if (LeafUpperBound(leaf, i, d1, d2) < threshold()) {
+        ++stats_.leaf_points_filtered;
+        continue;
+      }
+      const std::size_t id = leaf.id(i);
+      offer(Neighbor{id, Distance(id, false, 0.0)});
     }
   }
 

@@ -189,8 +189,8 @@ class MvpTree {
     std::vector<Neighbor> result;
     SearchStats local;
     if (root_ != nullptr) {
-      std::vector<double> qpath;
-      FarthestRangeNode(*root_, query, radius, qpath, result, local);
+      MvpSearch<Nodes, Object, Metric>(NodeSource(), query, metric_, local)
+          .FarRange(root_.get(), radius, result);
     }
     std::sort(result.begin(), result.end(), FartherFirst);
     if (stats != nullptr) MergeSearchStats(stats, local);
@@ -204,8 +204,8 @@ class MvpTree {
     std::vector<Neighbor> heap;  // min-heap on distance (worst of the best k)
     SearchStats local;
     if (root_ != nullptr && k > 0) {
-      std::vector<double> qpath;
-      FarthestKnnNode(*root_, query, k, qpath, heap, local);
+      MvpSearch<Nodes, Object, Metric>(NodeSource(), query, metric_, local)
+          .FarKnn(root_.get(), k, heap);
     }
     std::sort(heap.begin(), heap.end(), FartherFirst);
     if (stats != nullptr) MergeSearchStats(stats, local);
@@ -830,163 +830,6 @@ class MvpTree {
       child = std::move(sub).ValueOrDie();
     }
     return node;
-  }
-
-  // ------------------------------------------------------ farthest search
-
-  static bool FartherFirst(const Neighbor& a, const Neighbor& b) {
-    if (a.distance != b.distance) return a.distance > b.distance;
-    return a.id < b.id;
-  }
-
-  /// Upper bound on d(Q, x) for a leaf entry from the stored distances:
-  /// d(Q,x) <= d(Q,sv) + d(x,sv) for every stored vantage point.
-  double LeafUpperBound(const Node& node, const LeafEntry& x, double d1,
-                        double d2, const std::vector<double>& qpath) const {
-    double ub = d1 + x.d1;
-    if (node.has_vp2) ub = std::min(ub, d2 + x.d2);
-    const std::size_t checks =
-        std::min(qpath.size(), static_cast<std::size_t>(x.path_length));
-    for (std::size_t j = 0; j < checks; ++j) {
-      ub = std::min(ub, qpath[j] + path_pool_[x.path_offset + j]);
-    }
-    return ub;
-  }
-
-  void FarthestRangeNode(const Node& node, const Object& query, double radius,
-                         std::vector<double>& qpath,
-                         std::vector<Neighbor>& result,
-                         SearchStats& stats) const {
-    ++stats.nodes_visited;
-    const double d1 = metric_(query, objects_[node.vp1_id]);
-    ++stats.distance_computations;
-    if (d1 >= radius) result.push_back(Neighbor{node.vp1_id, d1});
-    double d2 = 0.0;
-    if (node.has_vp2) {
-      d2 = metric_(query, objects_[node.vp2_id]);
-      ++stats.distance_computations;
-      if (d2 >= radius) result.push_back(Neighbor{node.vp2_id, d2});
-    }
-    if (node.is_leaf) {
-      for (const LeafEntry& x : node.bucket) {
-        ++stats.leaf_points_seen;
-        if (LeafUpperBound(node, x, d1, d2, qpath) < radius) {
-          ++stats.leaf_points_filtered;
-          continue;
-        }
-        const double d = metric_(query, objects_[x.id]);
-        ++stats.distance_computations;
-        if (d >= radius) result.push_back(Neighbor{x.id, d});
-      }
-      return;
-    }
-    const std::size_t p =
-        static_cast<std::size_t>(options_.num_path_distances);
-    std::size_t pushed = 0;
-    if (qpath.size() < p) {
-      qpath.push_back(d1);
-      ++pushed;
-      if (qpath.size() < p) {
-        qpath.push_back(d2);
-        ++pushed;
-      }
-    }
-    const std::size_t m = static_cast<std::size_t>(options_.order);
-    for (std::size_t g = 0; g < m; ++g) {
-      // Max possible distance within shell g: d1 + upper1[g].
-      if (d1 + node.upper1[g] < radius) continue;
-      for (std::size_t s = 0; s < m; ++s) {
-        const std::size_t c = g * m + s;
-        if (node.children[c] == nullptr) continue;
-        if (d2 + node.upper2[c] < radius) continue;
-        FarthestRangeNode(*node.children[c], query, radius, qpath, result,
-                          stats);
-      }
-    }
-    qpath.resize(qpath.size() - pushed);
-  }
-
-  /// Current farthest-k pruning threshold: the k-th farthest so far.
-  static double FarTau(const std::vector<Neighbor>& heap, std::size_t k) {
-    return heap.size() < k ? 0.0 : heap.front().distance;
-  }
-
-  static void OfferFar(std::vector<Neighbor>& heap, std::size_t k,
-                       Neighbor n) {
-    // Heap maximum under FartherFirst = the closest (least good) of the
-    // kept k — the element evicted when something farther arrives. Mirrors
-    // KnnOffer(), whose NeighborLess-heap keeps the farthest at the front.
-    if (heap.size() < k) {
-      heap.push_back(n);
-      std::push_heap(heap.begin(), heap.end(), FartherFirst);
-    } else if (FartherFirst(n, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), FartherFirst);
-      heap.back() = n;
-      std::push_heap(heap.begin(), heap.end(), FartherFirst);
-    }
-  }
-
-  void FarthestKnnNode(const Node& node, const Object& query, std::size_t k,
-                       std::vector<double>& qpath,
-                       std::vector<Neighbor>& heap,
-                       SearchStats& stats) const {
-    ++stats.nodes_visited;
-    const double d1 = metric_(query, objects_[node.vp1_id]);
-    ++stats.distance_computations;
-    OfferFar(heap, k, Neighbor{node.vp1_id, d1});
-    double d2 = 0.0;
-    if (node.has_vp2) {
-      d2 = metric_(query, objects_[node.vp2_id]);
-      ++stats.distance_computations;
-      OfferFar(heap, k, Neighbor{node.vp2_id, d2});
-    }
-    if (node.is_leaf) {
-      for (const LeafEntry& x : node.bucket) {
-        ++stats.leaf_points_seen;
-        if (LeafUpperBound(node, x, d1, d2, qpath) < FarTau(heap, k)) {
-          ++stats.leaf_points_filtered;
-          continue;
-        }
-        const double d = metric_(query, objects_[x.id]);
-        ++stats.distance_computations;
-        OfferFar(heap, k, Neighbor{x.id, d});
-      }
-      return;
-    }
-    const std::size_t p =
-        static_cast<std::size_t>(options_.num_path_distances);
-    std::size_t pushed = 0;
-    if (qpath.size() < p) {
-      qpath.push_back(d1);
-      ++pushed;
-      if (qpath.size() < p) {
-        qpath.push_back(d2);
-        ++pushed;
-      }
-    }
-    // Visit children in decreasing order of their distance upper bound.
-    struct Ranked {
-      double bound;
-      std::size_t child;
-    };
-    const std::size_t m = static_cast<std::size_t>(options_.order);
-    std::vector<Ranked> ranked;
-    ranked.reserve(m * m);
-    for (std::size_t g = 0; g < m; ++g) {
-      for (std::size_t s = 0; s < m; ++s) {
-        const std::size_t c = g * m + s;
-        if (node.children[c] == nullptr) continue;
-        ranked.push_back(Ranked{
-            std::min(d1 + node.upper1[g], d2 + node.upper2[c]), c});
-      }
-    }
-    std::sort(ranked.begin(), ranked.end(),
-              [](const Ranked& a, const Ranked& b) { return a.bound > b.bound; });
-    for (const Ranked& r : ranked) {
-      if (r.bound < FarTau(heap, k)) break;
-      FarthestKnnNode(*node.children[r.child], query, k, qpath, heap, stats);
-    }
-    qpath.resize(qpath.size() - pushed);
   }
 
   void CollectStats(const Node& node, std::size_t depth,

@@ -17,7 +17,8 @@
 /// The pruning and candidate-set arithmetic of the §4.3 traversal
 /// (core/mvp_search.h, which serves both the heap tree and the flat
 /// mmap-native view) lives here: an annulus/shell intersection test, the
-/// k-NN shrinking-radius bookkeeping, the chunked range leaf filter, node
+/// k-NN shrinking-radius bookkeeping and its k-farthest mirror (growing
+/// threshold, farthest-first order), the chunked range leaf filter, node
 /// priming and the batching opt-in, and stats merging.
 
 namespace mvp::core {
@@ -43,6 +44,32 @@ inline void KnnOffer(std::vector<Neighbor>& heap, std::size_t k, Neighbor n) {
     std::pop_heap(heap.begin(), heap.end(), NeighborLess);
     heap.back() = n;
     std::push_heap(heap.begin(), heap.end(), NeighborLess);
+  }
+}
+
+/// Farthest-first result order: by decreasing distance, ties by id.
+inline bool FartherFirst(const Neighbor& a, const Neighbor& b) {
+  if (a.distance != b.distance) return a.distance > b.distance;
+  return a.id < b.id;
+}
+
+/// Current k-farthest pruning threshold: the k-th farthest distance so far,
+/// or 0 while the candidate heap is not yet full.
+inline double FarTau(const std::vector<Neighbor>& heap, std::size_t k) {
+  return heap.size() < k ? 0.0 : heap.front().distance;
+}
+
+/// Offers a candidate to the heap (under FartherFirst) of the k farthest.
+/// Its front is the closest of the kept k, the one evicted when something
+/// farther arrives, as KnnOffer's front is the farthest of the nearest k.
+inline void FarOffer(std::vector<Neighbor>& heap, std::size_t k, Neighbor n) {
+  if (heap.size() < k) {
+    heap.push_back(n);
+    std::push_heap(heap.begin(), heap.end(), FartherFirst);
+  } else if (FartherFirst(n, heap.front())) {
+    std::pop_heap(heap.begin(), heap.end(), FartherFirst);
+    heap.back() = n;
+    std::push_heap(heap.begin(), heap.end(), FartherFirst);
   }
 }
 

@@ -5,6 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/mvp_tree.h"
 #include "dataset/vector_gen.h"
 #include "dataset/words.h"
@@ -123,9 +127,34 @@ void BM_EditDistanceFull(benchmark::State& state) {
 }
 BENCHMARK(BM_EditDistanceFull);
 
+// Strings of state.range(0) bytes, past the one-word (<= 64 byte) path:
+// the blocked form walks ceil(m / 64) words per text byte.
+void BM_EditDistanceLong(benchmark::State& state) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  const auto words = dataset::SyntheticWords(256, 1);
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    std::string line;
+    for (std::size_t j = i; line.size() < len; ++j) {
+      line += words[j % words.size()];
+    }
+    line.resize(len);
+    lines.push_back(std::move(line));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& a = lines[i % lines.size()];
+    const auto& b = lines[(i * 7 + 3) % lines.size()];
+    benchmark::DoNotOptimize(metric::EditDistance(a, b));
+    ++i;
+  }
+}
+BENCHMARK(BM_EditDistanceLong)->Arg(100)->Arg(300);
+
 void BM_EditDistanceBounded(benchmark::State& state) {
-  // The banded variant pays off when the bound is small relative to the
-  // word lengths — exactly the range-query case (r = 1..3 edits).
+  // The bit-parallel kernel with the length-difference exit and a stop once
+  // the last-row score can no longer fall back to the bound: small bounds
+  // (the range-query case, r = 1..3 edits) stop early on dissimilar words.
   const auto words = dataset::SyntheticWords(256, 1);
   const auto bound = static_cast<unsigned>(state.range(0));
   std::size_t i = 0;

@@ -15,12 +15,18 @@
 
 namespace mvp::metric {
 
-/// Unit-cost Levenshtein distance, O(|a|*|b|) time, O(min) space.
+/// Unit-cost Levenshtein distance over bytes (any value, '\0' and >= 0x80
+/// included), computed with Myers' bit-vector algorithm. With m the shorter
+/// and n the longer length: O(ceil(m/64) * n) time. For m <= 64 it uses one
+/// machine word and a per-thread match-mask table, with no heap allocation;
+/// longer strings allocate 2 KiB of match masks per 64 bytes of the shorter
+/// string. Thread-safe.
 unsigned EditDistance(const std::string& a, const std::string& b);
 
 /// Levenshtein with early exit: returns any value > bound as soon as the
-/// true distance provably exceeds `bound` (Ukkonen banding). The returned
-/// value equals the true distance whenever that distance <= bound.
+/// true distance provably exceeds `bound` (the lengths differ by more than
+/// `bound`, or the running score can no longer fall back to it). The
+/// returned value equals the true distance whenever that distance <= bound.
 unsigned BoundedEditDistance(const std::string& a, const std::string& b,
                              unsigned bound);
 

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "dataset/image.h"
+#include "dataset/words.h"
 #include "metric/counting.h"
 #include "metric/edit_distance.h"
 #include "metric/lp.h"
@@ -170,6 +172,115 @@ TEST(BoundedEditDistanceTest, AgreesWithExactOnRandomPairs) {
         }
       }
     }
+  }
+}
+
+// The textbook O(|a|*|b|) dynamic program, kept here as the oracle for the
+// bit-parallel kernel: D[i][j] = min(D[i-1][j] + 1, D[i][j-1] + 1,
+// D[i-1][j-1] + [a[i-1] != b[j-1]]), one row at a time.
+unsigned ReferenceEditDistance(const std::string& a, const std::string& b) {
+  std::vector<unsigned> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = static_cast<unsigned>(j);
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    unsigned diag = row[0];
+    row[0] = static_cast<unsigned>(i);
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const unsigned up = row[j];
+      row[j] = std::min({row[j - 1] + 1, up + 1,
+                         diag + (a[i - 1] == b[j - 1] ? 0u : 1u)});
+      diag = up;
+    }
+  }
+  return row[b.size()];
+}
+
+// Checks EditDistance in both argument orders and BoundedEditDistance at
+// bounds 0..8 against the reference DP.
+void ExpectMatchesReference(const std::string& a, const std::string& b) {
+  const unsigned expected = ReferenceEditDistance(a, b);
+  EXPECT_EQ(EditDistance(a, b), expected)
+      << "|a|=" << a.size() << " |b|=" << b.size();
+  EXPECT_EQ(EditDistance(b, a), expected)
+      << "|a|=" << a.size() << " |b|=" << b.size();
+  for (unsigned bound = 0; bound <= 8; ++bound) {
+    const unsigned bounded = BoundedEditDistance(a, b, bound);
+    if (expected <= bound) {
+      EXPECT_EQ(bounded, expected) << "bound " << bound;
+    } else {
+      EXPECT_GT(bounded, bound) << "bound " << bound;
+    }
+  }
+}
+
+// Bytes drawn from `alphabet`: the two-letter one is {'\0', '\xff'}, so
+// both an embedded NUL and a byte >= 0x80 appear; 256 covers every byte.
+std::string RandomBytes(Rng& rng, std::size_t len, unsigned alphabet) {
+  std::string s(len, '\0');
+  for (char& c : s) {
+    const auto v = static_cast<unsigned char>(rng.NextBounded(alphabet));
+    c = static_cast<char>(alphabet == 2 ? v * 0xff : v);
+  }
+  return s;
+}
+
+// `edits` random substitutions, insertions and deletions of `s`, so long
+// strings also get pairs at small distances.
+std::string NearCopy(Rng& rng, std::string s, unsigned edits,
+                     unsigned alphabet) {
+  for (unsigned e = 0; e < edits; ++e) {
+    const char c = RandomBytes(rng, 1, alphabet)[0];
+    const std::size_t op = s.empty() ? 0 : rng.NextBounded(3);
+    const auto pos = static_cast<std::ptrdiff_t>(rng.NextBounded(s.size() + 1));
+    if (op == 0) {
+      s.insert(s.begin() + pos, c);
+    } else if (op == 1) {
+      s.erase(s.begin() + pos % static_cast<std::ptrdiff_t>(s.size()));
+    } else {
+      s[rng.NextBounded(s.size())] = c;
+    }
+  }
+  return s;
+}
+
+// Lengths on both sides of the one-word (<= 64) and blocked paths and of
+// each block boundary.
+constexpr std::size_t kEditLengths[] = {0,  1,   2,   31,  32,  63,
+                                        64, 65, 127, 128, 129, 200};
+
+TEST(EditDistanceTest, MatchesReferenceOnRandomStrings) {
+  Rng rng(20261020);
+  for (const unsigned alphabet : {2u, 256u}) {
+    for (const std::size_t la : kEditLengths) {
+      for (const std::size_t lb : kEditLengths) {
+        for (int rep = 0; rep < 3; ++rep) {
+          ExpectMatchesReference(RandomBytes(rng, la, alphabet),
+                                 RandomBytes(rng, lb, alphabet));
+        }
+      }
+    }
+  }
+}
+
+TEST(EditDistanceTest, MatchesReferenceOnIdenticalAndNearStrings) {
+  Rng rng(7);
+  for (const unsigned alphabet : {2u, 256u}) {
+    for (const std::size_t len : kEditLengths) {
+      const std::string s = RandomBytes(rng, len, alphabet);
+      EXPECT_EQ(EditDistance(s, s), 0u);
+      EXPECT_EQ(BoundedEditDistance(s, s, 0), 0u);
+      for (unsigned edits = 1; edits <= 10; ++edits) {
+        ExpectMatchesReference(s, NearCopy(rng, s, edits, alphabet));
+      }
+    }
+  }
+}
+
+TEST(EditDistanceTest, MatchesReferenceOnMutatedWords) {
+  const auto words = dataset::SyntheticWords(50000, 15);
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    const std::string mutated =
+        dataset::MutateWord(words[i], static_cast<unsigned>(i % 6), i);
+    ExpectMatchesReference(words[i], mutated);
   }
 }
 

@@ -12,13 +12,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/mvp_tree.h"
 #include "dataset/vector_gen.h"
+#include "dataset/words.h"
 #include "dynamic/mvp_forest.h"
 #include "metric/counting.h"
+#include "metric/edit_distance.h"
 #include "metric/lp.h"
 #include "serve/executor.h"
 #include "serve/sharded_index.h"
@@ -277,6 +281,42 @@ TEST(ThreadSafetyTest, ConcurrentExecutorBatchesWithSharedStats) {
   EXPECT_EQ(snap.queries, 2 * batch.size());
   EXPECT_EQ(snap.ok, 2 * batch.size());
   EXPECT_EQ(snap.distance_computations, distances.load());
+}
+
+TEST(ThreadSafetyTest, ConcurrentLevenshteinAgrees) {
+  // Each thread keeps its own match-mask table for patterns of at most 64
+  // bytes. Four threads evaluate the same pairs at the same time (threads
+  // 0 and 1 walk one order) and different pairs (threads 2 and 3 start
+  // elsewhere); every value must equal the single-threaded one.
+  const auto words = dataset::SyntheticWords(400, 61);
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    const auto edits = static_cast<unsigned>(i % 4);
+    pairs.emplace_back(words[i], dataset::MutateWord(words[i], edits, 67 + i));
+    pairs.emplace_back(words[i], words[(i * 31 + 7) % words.size()]);
+  }
+  // Patterns past one word run the blocked path.
+  pairs.emplace_back(std::string(100, 'a') + words[0],
+                     words[1] + std::string(90, 'a'));
+  const metric::Levenshtein lev;
+  std::vector<double> expected;
+  for (const auto& [a, b] : pairs) expected.push_back(lev(a, b));
+
+  std::atomic<int> mismatches{0};
+  auto worker = [&](std::size_t offset) {
+    for (int round = 0; round < 20; ++round) {
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        const std::size_t i = (offset + k) % pairs.size();
+        if (lev(pairs[i].first, pairs[i].second) != expected[i]) ++mismatches;
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (const std::size_t offset : {0u, 0u, 101u, 353u}) {
+    threads.emplace_back(worker, offset);
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace
